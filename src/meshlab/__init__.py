@@ -33,11 +33,7 @@ from .distributions import (
     MMP_Q1,
     BruteForceLimitError,
     Family,
-    a_poly,
-    b_poly,
     brute_force_limit,
-    c_poly,
-    d_poly,
     dist_brute,
     egf_family,
     family_polynomial,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -25,9 +24,10 @@ from .coeff_laws import unimodality_check
 from .distributions import (
     BruteForceLimitError,
     Family,
-    cache_record,
+    brute_force_limit,
     dist_brute,
     egf_family,
+    env_int,
     family_polynomial,
     sec_t_power_of_x,
 )
@@ -42,13 +42,7 @@ FORMATS = ("plain", "csv", "json", "latex")
 
 def max_series_order() -> int:
     """Series truncation cap: the env override or the built-in default."""
-    raw = os.environ.get(SERIES_ORDER_ENV)
-    if raw is None:
-        return DEFAULT_MAX_SERIES_ORDER
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{SERIES_ORDER_ENV} must be an integer, got {raw!r}") from exc
+    return env_int(SERIES_ORDER_ENV, DEFAULT_MAX_SERIES_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +223,7 @@ def cmd_table(args) -> int:
         for index, length, poly in rows:
             print(f"{index},{length},{format_poly(poly)}")
     elif args.format == "json":
-        print(json.dumps(
-            [cache_record(family, i, p, "recursion") for i, _, p in rows], indent=2
-        ))
+        print(json.dumps([cache_record(family, i, p) for i, _, p in rows], indent=2))
     else:
         for index, length, poly in rows:
             label = f"{family.value}_{{{length}}}(x)"
@@ -239,19 +231,39 @@ def cmd_table(args) -> int:
     if args.cache:
         try:
             _update_cache(Path(args.cache), family, rows)
-        except OSError as exc:
-            print(f"error: cannot write cache {args.cache}: {exc}", file=sys.stderr)
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot update cache {args.cache}: {exc}", file=sys.stderr)
             return 1
     return 0
 
 
+def cache_record(family: Family, index: int, poly: Poly) -> dict:
+    """One row of the --cache JSON list; decimal strings keep big coefficients exact."""
+    return {
+        "family": family.value,
+        "index": index,
+        "length": family.length(index),
+        "coeffs": [str(c) for c in poly.coeffs],
+        "provenance": "recursion",
+    }
+
+
+def _is_cache_record(record) -> bool:
+    return (
+        isinstance(record, dict)
+        and isinstance(record.get("family"), str)
+        and isinstance(record.get("index"), int)
+    )
+
+
 def _update_cache(path: Path, family: Family, rows) -> None:
-    records: list[dict] = []
-    if path.exists():
-        records = json.loads(path.read_text())
+    """Merge rows into the cache file; ValueError if it holds anything else."""
+    records = json.loads(path.read_text()) if path.exists() else []
+    if not isinstance(records, list) or not all(map(_is_cache_record, records)):
+        raise ValueError("not a JSON list of cache records")
     by_key = {(r["family"], r["index"]): r for r in records}
     for index, _, poly in rows:
-        by_key[(family.value, index)] = cache_record(family, index, poly, "recursion")
+        by_key[(family.value, index)] = cache_record(family, index, poly)
     merged = [by_key[k] for k in sorted(by_key)]
     path.write_text(json.dumps(merged, indent=2) + "\n")
 
@@ -377,6 +389,18 @@ def cmd_unimodal(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="meshlab",
@@ -387,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="family polynomial table rows")
     p.add_argument("--family", required=True, choices=[f.value for f in Family])
-    p.add_argument("--max-index", type=int, required=True)
+    p.add_argument("--max-index", type=_int_at_least(0), required=True)
     p.add_argument("--format", choices=FORMATS, default="plain")
     p.add_argument("--cache", help="JSON cache file to create or update")
     p.set_defaults(func=cmd_table)
@@ -396,8 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite", required=True, choices=sorted(SUITE_RUNNERS) + ["all"]
     )
-    p.add_argument("--max-length", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--max-length", type=_int_at_least(1), default=None)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--strict", action="store_true",
                    help="adjudication disagreements also fail the run")
     p.add_argument("--report", help="write the JSON report here")
@@ -406,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="EGF coefficients")
     p.add_argument("--gf", required=True, choices=sorted(_SERIES))
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_int_at_least(0), required=True)
     p.add_argument("--format", choices=FORMATS, default="plain")
     p.set_defaults(func=cmd_series)
 
@@ -414,14 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--class", dest="cls", required=True, choices=("ud", "du"))
     p.add_argument("--pattern", required=True, help='e.g. "1,0,0,0" or "1,0,e,0"')
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--force", action="store_true",
                    help="override the enumeration length guard")
     p.add_argument("--format", choices=FORMATS, default="plain")
     p.set_defaults(func=cmd_brute)
 
     p = sub.add_parser("unimodal", help="unimodality scan of the four families")
-    p.add_argument("--max-index", type=int, default=8)
+    p.add_argument("--max-index", type=_int_at_least(0), default=8)
     p.set_defaults(func=cmd_unimodal)
 
     return parser
@@ -430,10 +454,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "series" and args.order > max_series_order():
-        parser.error(f"--order is capped at {max_series_order()}")
-    if args.command == "series" and args.order < 0:
-        parser.error("--order must be nonnegative")
+    # a malformed environment override is a usage error, not a traceback
+    try:
+        series_cap = max_series_order()
+        brute_force_limit()
+    except ValueError as exc:
+        parser.error(str(exc))
+    if args.command == "series" and args.order > series_cap:
+        parser.error(f"--order is capped at {series_cap}")
     return args.func(args)
 
 

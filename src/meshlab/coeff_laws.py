@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .algebra import Poly, fit_polynomial, zigzag_numbers
+from .algebra import Poly, fit_polynomial, tangent_number, zigzag_numbers
 from .distributions import (
     MMP_Q1,
     Family,
@@ -130,10 +130,6 @@ def level_set_brute(family: Family, n: int, k: int, *, workers: int = 1) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _tangent(m: int) -> int:
-    return zigzag_numbers(m)[m]
-
-
 @cache
 def p_value(k: int, n: int) -> Fraction:
     """
@@ -152,9 +148,9 @@ def p_value(k: int, n: int) -> Fraction:
         return Fraction(1)
     if n < k + 1:
         raise ValueError(f"p_{k} is defined for n >= {k + 1}")
-    acc = Fraction(_tangent(2 * k + 1), double_factorial(2 * k + 1))
+    acc = Fraction(tangent_number(2 * k + 1), double_factorial(2 * k + 1))
     for j in range(1, k + 1):
-        coeff = Fraction(_tangent(2 * j + 1) * 2**j, factorial(2 * j + 1))
+        coeff = Fraction(tangent_number(2 * j + 1) * 2**j, factorial(2 * j + 1))
         for t in range(k + 2, n + 1):
             acc += coeff * falling_factorial(Fraction(t - 1), j) * p_value(k - j, t - j - 1)
     return acc
@@ -182,7 +178,7 @@ def q_value(k: int, n: int, variant: str = "statement") -> Fraction:
         return Fraction(1)
     if n < k + 1:
         raise ValueError(f"q_{k} is defined for n >= {k + 1}")
-    acc = Fraction(_tangent(2 * k + 1), double_factorial(2 * k))
+    acc = Fraction(tangent_number(2 * k + 1), double_factorial(2 * k))
     for j in range(1, k + 1):
         if variant == "statement":
             for t in range(k + 2, n + 1):
@@ -190,14 +186,14 @@ def q_value(k: int, n: int, variant: str = "statement") -> Fraction:
                 for s in range(j):
                     prod *= 2 * t - 1 - 2 * s
                 acc += (
-                    Fraction(_tangent(2 * j + 1) * prod, factorial(2 * j + 1))
+                    Fraction(tangent_number(2 * j + 1) * prod, factorial(2 * j + 1))
                     * q_value(k - j, t - j - 1, variant)
                 )
         else:
             prod = 2**j
             for s in range(1, j):
                 prod *= 2 * n - 2 * s - 1
-            coeff = Fraction(_tangent(2 * j + 1) * prod, factorial(2 * j + 1))
+            coeff = Fraction(tangent_number(2 * j + 1) * prod, factorial(2 * j + 1))
             for t in range(k + 2, n + 1):
                 acc += coeff * q_value(k - j, t - j - 1, variant)
     return acc
@@ -349,7 +345,7 @@ def seed_identity_check(k_max: int) -> list[dict]:
     """p_k(k+1) = T_{2k+1}/(2k+1)!! and q_k(k+1) = T_{2k+1}/(2k)!!."""
     records = []
     for k in range(0, k_max + 1):
-        t = _tangent(2 * k + 1)
+        t = tangent_number(2 * k + 1)
         records.append(
             make_record(
                 "seed-p", family=Family.A, k=k, n=k + 1,

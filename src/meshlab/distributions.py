@@ -17,13 +17,10 @@ int64 range (enforced by the length guard), everything else is rational.
 from __future__ import annotations
 
 import enum
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 from math import comb
-from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -71,15 +68,20 @@ class BruteForceLimitError(RuntimeError):
         self.limit = limit
 
 
-def brute_force_limit() -> int:
-    """Current guard: the MESHLAB_MAX_BRUTE override or the built-in default."""
-    raw = os.environ.get(BRUTE_LIMIT_ENV)
+def env_int(name: str, default: int) -> int:
+    """The integer in environment variable name, or default when it is unset."""
+    raw = os.environ.get(name)
     if raw is None:
-        return DEFAULT_BRUTE_LIMIT
+        return default
     try:
         return int(raw)
     except ValueError as exc:
-        raise ValueError(f"{BRUTE_LIMIT_ENV} must be an integer, got {raw!r}") from exc
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
+
+
+def brute_force_limit() -> int:
+    """Current guard: the MESHLAB_MAX_BRUTE override or the built-in default."""
+    return env_int(BRUTE_LIMIT_ENV, DEFAULT_BRUTE_LIMIT)
 
 
 class Family(enum.Enum):
@@ -117,95 +119,38 @@ def family_for(length: int, cls: AlternatingClass) -> Family:
 
 
 # ---------------------------------------------------------------------------
-# Route 1: positional recursions on the location of the largest value.
+# Route 1: the positional recursion on the location of the largest value.
 #
-# With E_m the zigzag numbers (so E_{2k-1} counts up-down words left of the
-# peak and E_{2k} counts down-up prefixes):
+# With E_j the zigzag numbers, the distribution over words of length L in
+# class cls is
 #
-#   A_{2n}(x)   = sum_{k=1}^{n}   C(2n-1, 2k-1) E_{2k-1} x^{2k-1} A_{2n-2k}(x)
-#   B_{2n+1}(x) = sum_{k=1}^{n}   C(2n,   2k-1) E_{2k-1} x^{2k-1} B_{2n-2k+1}(x)
-#   C_{2n}(x)   = sum_{k=0}^{n-1} C(2n-1, 2k)   E_{2k}   x^{2k}   B_{2n-2k-1}(x)
-#   D_{2n+1}(x) = sum_{k=0}^{n}   C(2n,   2k)   E_{2k}   x^{2k}   A_{2n-2k}(x)
+#   P(L, cls) = sum_j C(L-1, j) E_j x^j P(L-1-j, up-down),   P(0) = P(1) = 1,
 #
-# seeded by A_0 = 1 and B_1 = 1.  Everything left of the peak matches the
-# quadrant-I pattern, hence the plain x-power; everything right contributes
-# its own distribution.
+# with j odd for up-down words and even for down-up words.  The j entries
+# left of the peak all match the quadrant-I pattern, hence the plain x-power;
+# the up-down word right of the peak contributes its own distribution.  The
+# printed A_{2n}, B_{2n-1}, C_{2n} and D_{2n-1} recursions are its four
+# parity cases.
 # ---------------------------------------------------------------------------
 
 
 @cache
-def a_poly(n: int) -> Poly:
-    """Distribution polynomial over up-down permutations of length 2n."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if n == 0:
+def _positional(length: int, cls: AlternatingClass) -> Poly:
+    if length <= 1:
         return Poly.one()
-    ee = zigzag_numbers(2 * n)
+    ee = zigzag_numbers(length - 1)
     acc = Poly.zero()
-    for k in range(1, n + 1):
-        term = a_poly(n - k) * (comb(2 * n - 1, 2 * k - 1) * ee[2 * k - 1])
-        acc = acc + term.shift(2 * k - 1)
+    for j in range(1 if cls is UP_DOWN else 0, length, 2):
+        term = _positional(length - 1 - j, UP_DOWN) * (comb(length - 1, j) * ee[j])
+        acc = acc + term.shift(j)
     return acc
-
-
-@cache
-def b_poly(n: int) -> Poly:
-    """Distribution polynomial over up-down permutations of length 2n - 1."""
-    if n < 1:
-        raise ValueError("index must be at least 1")
-    if n == 1:
-        return Poly.one()
-    m = n - 1  # length is 2m + 1
-    ee = zigzag_numbers(2 * m)
-    acc = Poly.zero()
-    for k in range(1, m + 1):
-        term = b_poly(n - k) * (comb(2 * m, 2 * k - 1) * ee[2 * k - 1])
-        acc = acc + term.shift(2 * k - 1)
-    return acc
-
-
-@cache
-def c_poly(n: int) -> Poly:
-    """Distribution polynomial over down-up permutations of length 2n."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if n == 0:
-        return Poly.one()
-    ee = zigzag_numbers(2 * n)
-    acc = Poly.zero()
-    for k in range(0, n):
-        term = b_poly(n - k) * (comb(2 * n - 1, 2 * k) * ee[2 * k])
-        acc = acc + term.shift(2 * k)
-    return acc
-
-
-@cache
-def d_poly(n: int) -> Poly:
-    """Distribution polynomial over down-up permutations of length 2n - 1."""
-    if n < 1:
-        raise ValueError("index must be at least 1")
-    if n == 1:
-        return Poly.one()
-    m = n - 1
-    ee = zigzag_numbers(2 * m)
-    acc = Poly.zero()
-    for k in range(0, m + 1):
-        term = a_poly(m - k) * (comb(2 * m, 2 * k) * ee[2 * k])
-        acc = acc + term.shift(2 * k)
-    return acc
-
-
-_POLY_BY_FAMILY = {Family.A: a_poly, Family.B: b_poly, Family.C: c_poly, Family.D: d_poly}
 
 
 def family_polynomial(family: Family, index: int) -> Poly:
     """Recursion-computed distribution polynomial for a family row."""
-    return _POLY_BY_FAMILY[family](index)
-
-
-def a_poly_upto(n: int) -> list[Poly]:
-    """A-family rows 0..n (memoised, so this is just a convenience view)."""
-    return [a_poly(i) for i in range(n + 1)]
+    if index < family.min_index():
+        raise ValueError(f"family {family.value} needs index >= {family.min_index()}")
+    return _positional(family.length(index), family.alternating_class)
 
 
 # ---------------------------------------------------------------------------
@@ -573,46 +518,3 @@ def confirmed_c_variant(order: int = 10) -> str:
     if len(confirmed) != 1:
         raise RuntimeError(f"expected exactly one confirmed variant, got {verdicts}")
     return confirmed[0]
-
-
-# ---------------------------------------------------------------------------
-# Polynomial cache file.
-# ---------------------------------------------------------------------------
-
-
-def cache_record(family: Family, index: int, poly: Poly, provenance: str) -> dict:
-    """One cache row; coefficients as decimal strings to dodge integer-width loss."""
-    if provenance not in ("brute", "recursion", "egf"):
-        raise ValueError(f"unknown provenance {provenance!r}")
-    return {
-        "family": family.value,
-        "index": index,
-        "length": family.length(index),
-        "coeffs": [str(c) for c in poly.coeffs],
-        "provenance": provenance,
-    }
-
-
-def build_cache(max_index: int, provenance: str = "recursion") -> list[dict]:
-    records = []
-    for family in Family:
-        for index in range(family.min_index(), max_index + 1):
-            records.append(
-                cache_record(family, index, family_polynomial(family, index), provenance)
-            )
-    return records
-
-
-def save_cache(path: str | Path, records: Sequence[dict]) -> None:
-    Path(path).write_text(json.dumps(list(records), indent=2) + "\n")
-
-
-def load_cache(path: str | Path) -> list[dict]:
-    records = json.loads(Path(path).read_text())
-    for rec in records:
-        rec["coeffs"] = [str(c) for c in rec["coeffs"]]
-    return records
-
-
-def cached_polynomial(record: dict) -> Poly:
-    return Poly(int(c) for c in record["coeffs"])

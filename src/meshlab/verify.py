@@ -214,6 +214,8 @@ def run_unimodality(max_index: int = 8) -> SuiteResult:
     return result
 
 
+# max_length is the one enumeration budget: every suite that enumerates stops
+# at that length, and without it each suite keeps its own default.
 SUITE_RUNNERS = {
     "tables": lambda workers, max_length: run_tables(),
     "symmetry": lambda workers, max_length: run_symmetry(
@@ -222,8 +224,12 @@ SUITE_RUNNERS = {
     "oracle": lambda workers, max_length: run_oracle(
         min(max_length or 12, brute_force_limit()), workers=workers
     ),
-    "egf": lambda workers, max_length: run_egf(workers=workers),
-    "coeff-laws": lambda workers, max_length: run_coeff_laws(workers=workers),
+    "egf": lambda workers, max_length: run_egf(
+        sec_power_max_n=(max_length or 10) // 2, workers=workers
+    ),
+    "coeff-laws": lambda workers, max_length: run_coeff_laws(
+        brute_level_max_length=max_length or 11, workers=workers
+    ),
     "closed-forms": lambda workers, max_length: run_closed_forms(),
 }
 

@@ -38,11 +38,7 @@ from meshlab.coeff_laws import (
 from meshlab.distributions import (
     MMP_Q1,
     Family,
-    a_poly,
-    b_poly,
-    c_poly,
     confirmed_c_variant,
-    d_poly,
     dist_brute,
     egf_family,
     family_polynomial,
@@ -110,11 +106,11 @@ def test_criterion_04_specialisations():
     secant = [1, 1, 5, 61, 1385, 50521, 2702765]
     tangent = [1, 2, 16, 272, 7936, 353792, 22368256]
     for n in range(0, 7):
-        assert a_poly(n)(1) == secant[n]
-        assert c_poly(n)(1) == secant[n]
+        assert family_polynomial(Family.A, n)(1) == secant[n]
+        assert family_polynomial(Family.C, n)(1) == secant[n]
     for n in range(1, 8):
-        assert b_poly(n)(1) == tangent[n - 1]
-        assert d_poly(n)(1) == tangent[n - 1]
+        assert family_polynomial(Family.B, n)(1) == tangent[n - 1]
+        assert family_polynomial(Family.D, n)(1) == tangent[n - 1]
     combined = egf_family(Family.A, 14) + egf_family(Family.B, 14)
     at_one = [int(v) for v in combined.at_x(1)]
     assert at_one == zigzag_numbers(14)

@@ -1,5 +1,8 @@
 import doctest
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -173,6 +176,36 @@ def test_table_cache_unwritable_still_prints(tmp_path, capsys):
     assert code == 1
     assert "x" in out  # the table itself was printed
     assert "cache" in err
+
+
+@pytest.mark.parametrize(
+    "content", ["not json", "[1, 2]", '{"keep": "me"}', "{}"],
+    ids=["not-json", "list-of-ints", "object", "empty-object"],
+)
+def test_table_cache_malformed_still_prints(tmp_path, capsys, content):
+    cache = tmp_path / "cache.json"
+    cache.write_text(content)
+    code, out, err = run(
+        capsys, "table", "--family", "A", "--max-index", "1", "--cache", str(cache)
+    )
+    assert code == 1
+    assert "x" in out  # the table itself was printed
+    assert "error: cannot update cache" in err
+    assert cache.read_text() == content
+
+
+def test_table_cache_preserves_big_integers(tmp_path, capsys):
+    # digits beyond the float53 range must reach the file exactly
+    cache = tmp_path / "big.json"
+    code, _, _ = run(
+        capsys, "table", "--family", "D", "--max-index", "12", "--cache", str(cache)
+    )
+    assert code == 0
+    big = family_polynomial(Family.D, 12)
+    (row,) = [r for r in json.loads(cache.read_text()) if r["index"] == 12]
+    assert row["coeffs"] == [str(c) for c in big.coeffs]
+    assert Poly(int(c) for c in row["coeffs"]) == big
+    assert max(int(c) for c in row["coeffs"]) > 2**53
 
 
 # --- series command ----------------------------------------------------------
@@ -352,7 +385,10 @@ def test_verify_deterministic_output(capsys):
     assert first == second
 
 
-def test_verify_all_suites(capsys):
+def test_verify_all_suites(capsys, monkeypatch):
+    # --max-length is the enumeration budget of every suite, so a guard at
+    # the same length must not refuse any of them
+    monkeypatch.setenv("MESHLAB_MAX_BRUTE", "6")
     code, out, _ = run(
         capsys, "verify", "--suite", "all", "--max-length", "6", "--workers", "2"
     )
@@ -367,14 +403,40 @@ def test_verify_usage_error():
     assert excinfo.value.code == 2
 
 
+# --- integer options and environment overrides ---------------------------------
+
+
+@pytest.mark.parametrize(
+    "env,argv",
+    [
+        ({"MESHLAB_MAX_SERIES_ORDER": "abc"}, ["series", "--gf", "A", "--order", "4"]),
+        ({"MESHLAB_MAX_BRUTE": "abc"}, ["verify", "--suite", "oracle", "--max-length", "4"]),
+        ({}, ["verify", "--suite", "oracle", "--max-length", "-2"]),
+        ({}, ["brute", "--length", "4", "--class", "ud", "--pattern", "1,0,0,0",
+              "--workers", "0"]),
+        ({}, ["brute", "--length", "4", "--class", "ud", "--pattern", "1,0,0,0",
+              "--workers", "-5"]),
+        ({}, ["table", "--family", "A", "--max-index", "-3"]),
+        ({}, ["unimodal", "--max-index", "-3"]),
+        ({}, ["series", "--gf", "A", "--order", "-1"]),
+    ],
+    ids=["series-order-env", "brute-limit-env", "max-length", "workers-zero",
+         "workers-negative", "table-max-index", "unimodal-max-index", "order"],
+)
+def test_bad_integer_input_is_usage_error(env, argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "meshlab.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, **env},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
 # --- unimodal command ----------------------------------------------------------
 
 
 def test_cli_as_a_process():
     # the same surface through a real process, byte-identical across runs
-    import subprocess
-    import sys
-
     argv = [sys.executable, "-m", "meshlab.cli", "table", "--family", "A",
             "--max-index", "4", "--format", "csv"]
     first = subprocess.run(argv, capture_output=True, check=True)

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,23 +7,14 @@ from meshlab.distributions import (
     MMP_Q1,
     BruteForceLimitError,
     Family,
-    a_poly,
-    b_poly,
     brute_force_limit,
-    build_cache,
-    c_poly,
-    cache_record,
-    cached_polynomial,
     closed_form_series_check,
     confirmed_c_variant,
-    d_poly,
     dist_brute,
     egf_family,
     family_for,
     family_polynomial,
-    load_cache,
     oracle_equivalence,
-    save_cache,
     sec_power_identity,
     sec_t_power_of_x,
     sec_xt_power,
@@ -164,11 +153,11 @@ def test_recursion_reproduces_reference_tables(name, rows):
 def test_specialisation_at_one():
     ee = zigzag_numbers(14)
     for n in range(0, 7):
-        assert a_poly(n)(1) == ee[2 * n]
-        assert c_poly(n)(1) == ee[2 * n]
+        assert family_polynomial(Family.A, n)(1) == ee[2 * n]
+        assert family_polynomial(Family.C, n)(1) == ee[2 * n]
     for n in range(1, 8):
-        assert b_poly(n)(1) == ee[2 * n - 1]
-        assert d_poly(n)(1) == ee[2 * n - 1]
+        assert family_polynomial(Family.B, n)(1) == ee[2 * n - 1]
+        assert family_polynomial(Family.D, n)(1) == ee[2 * n - 1]
 
 
 def test_distribution_coefficients_are_nonnegative_integers():
@@ -178,19 +167,10 @@ def test_distribution_coefficients_are_nonnegative_integers():
             assert all(c.denominator == 1 and c >= 0 for c in poly.coeffs)
 
 
-def test_a_poly_upto_view():
-    from meshlab.distributions import a_poly_upto
-
-    assert a_poly_upto(3) == [a_poly(i) for i in range(4)]
-
-
 def test_poly_index_preconditions():
-    with pytest.raises(ValueError):
-        a_poly(-1)
-    with pytest.raises(ValueError):
-        b_poly(0)
-    with pytest.raises(ValueError):
-        d_poly(0)
+    for family, index in [(Family.A, -1), (Family.B, 0), (Family.C, -1), (Family.D, 0)]:
+        with pytest.raises(ValueError):
+            family_polynomial(family, index)
 
 
 # --- EGF route --------------------------------------------------------------
@@ -262,37 +242,3 @@ def test_composite_series_forms_and_c_adjudication():
     assert by_variant["inner exponent -1/x"] == "pass"
     assert by_variant["inner exponent +1/x"] == "fail"
     assert confirmed_c_variant() == "inner exponent -1/x"
-
-
-# --- cache file --------------------------------------------------------------
-
-
-def test_cache_roundtrip(tmp_path):
-    records = build_cache(4)
-    path = tmp_path / "cache.json"
-    save_cache(path, records)
-    loaded = load_cache(path)
-    assert loaded == records
-    for rec in loaded:
-        assert rec["family"] in "ABCD"
-        assert all(isinstance(c, str) for c in rec["coeffs"])
-        family = Family(rec["family"])
-        assert rec["length"] == family.length(rec["index"])
-        assert cached_polynomial(rec) == family_polynomial(family, rec["index"])
-
-
-def test_cache_record_validation():
-    with pytest.raises(ValueError):
-        cache_record(Family.A, 1, a_poly(1), "guesswork")
-
-
-def test_cache_preserves_big_integers(tmp_path):
-    # digits beyond the float53 range must survive the round trip
-    big = family_polynomial(Family.D, 12)
-    rec = cache_record(Family.D, 12, big, "recursion")
-    path = tmp_path / "big.json"
-    save_cache(path, [rec])
-    raw = json.loads(path.read_text())
-    assert raw[0]["coeffs"] == [str(c) for c in big.coeffs]
-    assert cached_polynomial(load_cache(path)[0]) == big
-    assert max(int(c) for c in raw[0]["coeffs"]) > 2**53
