@@ -38,6 +38,10 @@ DEFAULT_MAX_SERIES_ORDER = 40
 SERIES_ORDER_ENV = "MESHLAB_MAX_SERIES_ORDER"
 
 FORMATS = ("plain", "csv", "json", "latex")
+WORKERS_HELP = (
+    "accepted for compatibility; enumeration runs in one thread and the "
+    "results do not depend on it"
+)
 
 
 def max_series_order() -> int:
@@ -421,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", required=True, choices=sorted(SUITE_RUNNERS) + ["all"]
     )
     p.add_argument("--max-length", type=_int_at_least(1), default=None)
-    p.add_argument("--workers", type=_int_at_least(1), default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1, help=WORKERS_HELP)
     p.add_argument("--strict", action="store_true",
                    help="adjudication disagreements also fail the run")
     p.add_argument("--report", help="write the JSON report here")
@@ -438,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--class", dest="cls", required=True, choices=("ud", "du"))
     p.add_argument("--pattern", required=True, help='e.g. "1,0,0,0" or "1,0,e,0"')
-    p.add_argument("--workers", type=_int_at_least(1), default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1, help=WORKERS_HELP)
     p.add_argument("--force", action="store_true",
                    help="override the enumeration length guard")
     p.add_argument("--format", choices=FORMATS, default="plain")

@@ -113,7 +113,8 @@ def level_set(family: Family, n: int, k: int) -> int:
     28
     """
     value = _level_polynomial(family, n).coefficient(level_base(family, n) + k)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ArithmeticError(f"level-set count {value} is not an integer")
     return int(value)
 
 

@@ -11,18 +11,15 @@ C and D down-up permutations of even and odd length.  Family index n means
 length 2n for A and C, length 2n - 1 for B and D, matching the classical
 tables A_{2n}(x), B_{2n-1}(x), C_{2n}(x), D_{2n-1}(x).
 
-Exact throughout: brute-force histograms are machine integers well inside
-int64 range (enforced by the length guard), everything else is rational.
+Exact throughout: brute-force histograms are Python integers, everything
+else is rational.
 """
 from __future__ import annotations
 
 import enum
 import os
-from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 from math import comb
-
-import numpy as np
 
 from .algebra import (
     EgfSeries,
@@ -158,54 +155,6 @@ def family_polynomial(family: Family, index: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _spec_to_req(spec: QuadrantSpec) -> np.ndarray:
-    return np.array(
-        [-1 if r is None else r for r in spec.requirements], dtype=np.int64
-    )
-
-
-def _prefix_tasks(n: int, cls: AlternatingClass) -> list[tuple[int, int]]:
-    # Partition the search space on the first two entries; lexicographic task
-    # order keeps merged results identical for any worker count.
-    rising = cls.rises_into(1)
-    return [
-        (v1, v2)
-        for v1 in range(1, n + 1)
-        for v2 in range(1, n + 1)
-        if v1 != v2 and (v1 < v2) == rising
-    ]
-
-
-def _dist_brute_compiled(
-    length: int, cls: AlternatingClass, spec: QuadrantSpec, workers: int
-) -> Poly:
-    from . import _kernel
-
-    req = _spec_to_req(spec)
-    rise_parity = 1 if cls is UP_DOWN else 0
-    if workers <= 1 or length < 4:
-        hist = np.zeros(length + 1, dtype=np.int64)
-        _kernel.count_distribution(
-            length, rise_parity, req, np.zeros(0, dtype=np.int64), hist
-        )
-        return Poly(int(c) for c in hist)
-
-    def run(task: tuple[int, int]):
-        hist = np.zeros(length + 1, dtype=np.int64)
-        _kernel.count_distribution(
-            length, rise_parity, req, np.array(task, dtype=np.int64), hist
-        )
-        return hist
-
-    total = np.zeros(length + 1, dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # map preserves task order; integer sums make the merge associative,
-        # so the result is bit-identical to the sequential run.
-        for hist in pool.map(run, _prefix_tasks(length, cls)):
-            total += hist
-    return Poly(int(c) for c in total)
-
-
 def _dist_brute_python(length: int, cls: AlternatingClass, spec: QuadrantSpec) -> Poly:
     hist = [0] * (length + 1)
     for perm in enumerate_alternating(length, cls):
@@ -252,6 +201,9 @@ def _dist_brute_incremental(length: int, cls: AlternatingClass, spec: QuadrantSp
     return Poly(hist)
 
 
+_ENGINES = {"incremental": _dist_brute_incremental, "python": _dist_brute_python}
+
+
 def dist_brute(
     length: int,
     cls: AlternatingClass,
@@ -259,7 +211,7 @@ def dist_brute(
     *,
     workers: int = 1,
     force: bool = False,
-    engine: str = "auto",
+    engine: str = "incremental",
 ) -> Poly:
     """
     The oracle: sum of x^statistic over every alternating permutation of the
@@ -268,16 +220,16 @@ def dist_brute(
     Lengths above the guard (see brute_force_limit) raise
     BruteForceLimitError unless force=True.  engine selects one of:
 
-      * "compiled": the numba kernel, parallelisable by partitioning on the
-        first two entries (without numba the same loop runs interpreted);
-      * "incremental": pure Python, fixing each position's quadrant counts
+      * "incremental" (the default): fixes each position's quadrant counts
         as its value is placed, so a word costs O(1) at its leaf;
       * "python": the literal reference, mmp_count on every generated word.
 
-    "auto" resolves to "compiled" when numba is installed and to
-    "incremental" otherwise.  Only "compiled" uses workers.  Results are
-    identical whichever engine or worker count runs.
+    Any other engine raises ValueError.  Enumeration runs in the calling
+    thread; workers is accepted and ignored, so results never depend on it.
     """
+    run = _ENGINES.get(engine)
+    if run is None:
+        raise ValueError(f"unknown engine {engine!r}")
     if length < 0:
         raise ValueError("length must be nonnegative")
     if length == 0:
@@ -285,18 +237,7 @@ def dist_brute(
     limit = brute_force_limit()
     if length > limit and not force:
         raise BruteForceLimitError(length, limit)
-
-    if engine == "auto":
-        from . import _kernel
-
-        engine = "compiled" if _kernel.AVAILABLE else "incremental"
-    if engine == "compiled":
-        return _dist_brute_compiled(length, cls, spec, workers)
-    if engine == "incremental":
-        return _dist_brute_incremental(length, cls, spec)
-    if engine == "python":
-        return _dist_brute_python(length, cls, spec)
-    raise ValueError(f"unknown engine {engine!r}")
+    return run(length, cls, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -215,14 +215,15 @@ def run_unimodality(max_index: int = 8) -> SuiteResult:
 
 
 # max_length is the one enumeration budget: every suite that enumerates stops
-# at that length, and without it each suite keeps its own default.
+# at that length, and without it each suite keeps its own default.  The oracle
+# suite also stops at the guard; a negative guard admits no length, like 0.
 SUITE_RUNNERS = {
     "tables": lambda workers, max_length: run_tables(),
     "symmetry": lambda workers, max_length: run_symmetry(
         max_length or 8, workers=workers
     ),
     "oracle": lambda workers, max_length: run_oracle(
-        min(max_length or 12, brute_force_limit()), workers=workers
+        min(max_length or 12, max(brute_force_limit(), 0)), workers=workers
     ),
     "egf": lambda workers, max_length: run_egf(
         sec_power_max_n=(max_length or 10) // 2, workers=workers

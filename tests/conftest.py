@@ -1,24 +1,8 @@
 import os
 
-import pytest
-
 # Full-depth mode runs the expensive acceptance bounds (brute lengths up to
 # 12 instead of 10); enable with MESHLAB_FULL=1.
 FULL_DEPTH = os.environ.get("MESHLAB_FULL") == "1"
-
-
-@pytest.fixture(scope="session")
-def warm_kernel():
-    """
-    Compile the enumeration kernel once so timed tests measure the run.
-    Without numba there is nothing to compile; the call is then one cheap
-    enumeration.
-    """
-    from meshlab.distributions import MMP_Q1, dist_brute
-    from meshlab.permutations import UP_DOWN
-
-    dist_brute(4, UP_DOWN, MMP_Q1)
-    return True
 
 
 def pytest_report_header(config):

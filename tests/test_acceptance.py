@@ -4,9 +4,8 @@ Acceptance criteria, one test per criterion, each printing a PASS/FAIL line
 no tolerances exist anywhere.
 
 Criterion 2 enumerates every alternating permutation up to length 10 by
-default; set MESHLAB_FULL=1 to run the full length-12 gate.  Both bounds
-hold without numba: the incremental pure-Python engine keeps even the
-length-12 gate under a minute.
+default; set MESHLAB_FULL=1 to run the full length-12 gate.  The
+incremental enumeration engine keeps even the length-12 gate under a minute.
 
 Criterion 7 is split in two: the report/adjudication machinery, which
 passes, and the literal expected-pass list for the published closed forms,
@@ -58,7 +57,7 @@ def report_line(number: int, ok: bool, detail: str) -> None:
     print(f"[criterion {number:>2}] {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def test_criterion_01_table_reproduction(warm_kernel):
+def test_criterion_01_table_reproduction():
     started = time.perf_counter()
     rows = 0
     nontrivial = 0
@@ -74,7 +73,7 @@ def test_criterion_01_table_reproduction(warm_kernel):
     assert elapsed < 1.0
 
 
-def test_criterion_02_oracle_equivalence(warm_kernel):
+def test_criterion_02_oracle_equivalence():
     started = time.perf_counter()
     records = oracle_equivalence(BRUTE_GATE, workers=WORKERS)
     elapsed = time.perf_counter() - started
@@ -91,7 +90,7 @@ def test_criterion_02_oracle_equivalence(warm_kernel):
     assert elapsed < (60.0 if FULL_DEPTH else 2.0)
 
 
-def test_criterion_03_symmetry_suite(warm_kernel):
+def test_criterion_03_symmetry_suite():
     started = time.perf_counter()
     records = symmetry_suite(8, workers=WORKERS)
     elapsed = time.perf_counter() - started
@@ -136,7 +135,7 @@ def test_criterion_05_boundary_laws():
     )
 
 
-def test_criterion_06_level_set_laws(warm_kernel):
+def test_criterion_06_level_set_laws():
     # brute-force route: every reachable length, offsets k <= 3
     checked_brute = 0
     for family in (Family.A, Family.B):
@@ -234,7 +233,7 @@ def test_criterion_07_expected_pass_set_as_stated():
         )
 
 
-def test_criterion_08_sec_power_identity(warm_kernel):
+def test_criterion_08_sec_power_identity():
     started = time.perf_counter()
     records = sec_power_identity(5, workers=WORKERS)
     elapsed = time.perf_counter() - started
@@ -264,7 +263,7 @@ def test_criterion_09_unimodality():
     assert not counterexamples  # currently true; failure would publish itself
 
 
-def test_criterion_10_parallel_determinism(warm_kernel, tmp_path):
+def test_criterion_10_parallel_determinism(tmp_path):
     from meshlab.verify import SuiteResult
 
     outputs = {}

@@ -1,10 +1,14 @@
+import contextlib
 import doctest
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import meshlab.cli
 from meshlab.algebra import Poly
@@ -430,6 +434,68 @@ def test_bad_integer_input_is_usage_error(env, argv):
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+def int_text(cap):
+    """Integer option text: edge values, a small valid value or a non-integer."""
+    return st.one_of(
+        st.sampled_from(["-3", "0", "1", "2.5", "seven", ""]),
+        st.integers(2, cap).map(str),
+    )
+
+
+PATTERNS = st.one_of(
+    st.sampled_from(
+        ["1,0,0,0", "1,0,e,0", "0,0,0,0", "e,e,e,e", "1,0,0", "1,0,0,0,0", "",
+         "-1,0,0,0", "1;0;0;0", "a,b,c,d", "1.5,0,0,0", " 2 , e ,0, 1"]
+    ),
+    st.text(alphabet="0123e,- x", max_size=12),
+)
+FORMAT_OPTIONS = st.sampled_from(["plain", "csv", "json", "latex", "html"])
+ENV_VALUE = st.one_of(st.none(), st.sampled_from(["-3", "0", "1", "abc", ""]),
+                      st.integers(2, 40).map(str))
+
+# Every subcommand, with enumeration lengths and orders small enough that an
+# example runs in milliseconds.
+ARGV = st.one_of(
+    st.tuples(st.just("table"), st.just("--family"), st.sampled_from("ABCDE"),
+              st.just("--max-index"), int_text(6), st.just("--format"), FORMAT_OPTIONS),
+    st.tuples(st.just("verify"), st.just("--suite"),
+              st.sampled_from(["tables", "symmetry", "oracle", "egf", "coeff-laws",
+                               "closed-forms", "all", "bogus"]),
+              st.just("--max-length"), int_text(5), st.just("--workers"), int_text(3),
+              st.just("--format"), st.sampled_from(["plain", "json", "csv"]),
+              st.sampled_from([(), ("--strict",)])),
+    st.tuples(st.just("series"), st.just("--gf"),
+              st.sampled_from(["A", "B", "C", "D", "secx", "tanx", "sec^x", "cot"]),
+              st.just("--order"), int_text(12), st.just("--format"), FORMAT_OPTIONS),
+    st.tuples(st.just("brute"), st.just("--length"), int_text(7), st.just("--class"),
+              st.sampled_from(["ud", "du", "uu"]), st.just("--pattern"), PATTERNS,
+              st.just("--workers"), int_text(3), st.just("--format"), FORMAT_OPTIONS,
+              st.sampled_from([(), ("--force",)])),
+    st.tuples(st.just("unimodal"), st.just("--max-index"), int_text(6)),
+).map(lambda parts: [a for p in parts for a in ((p,) if isinstance(p, str) else p)])
+
+
+@settings(deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ARGV, ENV_VALUE, ENV_VALUE)
+@example(argv=["verify", "--suite", "oracle", "--max-length", "3"],
+         series_cap=None, brute_limit="-3")
+def test_cli_exit_code_contract(monkeypatch, argv, series_cap, brute_limit):
+    for name, value in (("MESHLAB_MAX_SERIES_ORDER", series_cap),
+                        ("MESHLAB_MAX_BRUTE", brute_limit)):
+        if value is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, value)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, out.getvalue())
 
 
 # --- unimodal command ----------------------------------------------------------

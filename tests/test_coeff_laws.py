@@ -81,6 +81,16 @@ def test_level_set_matches_brute_force():
                 assert level_set(family, n, k) == level_set_brute(family, n, k)
 
 
+def test_level_set_refuses_non_integral_count(monkeypatch):
+    # a bare assert would vanish under python -O and int() would truncate
+    monkeypatch.setattr(
+        meshlab.coeff_laws, "_level_polynomial",
+        lambda family, n: Poly([Fraction(7, 2)] * 8),
+    )
+    with pytest.raises(ArithmeticError):
+        level_set(Family.A, 2, 1)
+
+
 # --- boundary coefficient laws -----------------------------------------------
 
 

@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from meshlab.distributions import (
     sec_xt_power,
     symmetry_suite,
 )
-from meshlab.permutations import DOWN_UP, UP_DOWN, QuadrantSpec
+from meshlab.permutations import DOWN_UP, UP_DOWN, QuadrantSpec, enumerate_alternating
 from meshlab.reference import FAMILY_TABLES
 
 
@@ -74,9 +76,9 @@ def test_dist_brute_examples():
 def test_engines_agree(spec):
     for length in range(1, 8):
         for cls in (UP_DOWN, DOWN_UP):
-            py = dist_brute(length, cls, spec, engine="python")
-            fast = dist_brute(length, cls, spec, engine="compiled")
-            assert py == fast
+            assert dist_brute(length, cls, spec) == dist_brute(
+                length, cls, spec, engine="python"
+            )
 
 
 def test_worker_partitioning_is_exact():
@@ -84,22 +86,6 @@ def test_worker_partitioning_is_exact():
         lone = dist_brute(8, cls, MMP_Q1, workers=1)
         many = dist_brute(8, cls, MMP_Q1, workers=5)
         assert lone == many
-
-
-requirement = st.one_of(st.none(), st.integers(0, 2))
-
-
-@settings(deadline=None, max_examples=40)
-@given(
-    st.integers(1, 6),
-    st.sampled_from([UP_DOWN, DOWN_UP]),
-    st.tuples(requirement, requirement, requirement, requirement),
-)
-def test_engines_agree_on_random_patterns(length, cls, reqs):
-    spec = QuadrantSpec(*reqs)
-    assert dist_brute(length, cls, spec, engine="python") == dist_brute(
-        length, cls, spec, engine="compiled"
-    )
 
 
 def assert_incremental_matches_reference(length, cls, spec):
@@ -127,6 +113,30 @@ def test_incremental_engine_on_short_words(length):
     for reqs in itertools.product(entries, repeat=4):
         for cls in (UP_DOWN, DOWN_UP):
             assert_incremental_matches_reference(length, cls, QuadrantSpec(*reqs))
+
+
+def right_to_left_maxima(word) -> int:
+    count, best = 0, 0
+    for value in reversed(word):
+        if value > best:
+            count, best = count + 1, value
+    return count
+
+
+@pytest.mark.parametrize("cls", [UP_DOWN, DOWN_UP])
+def test_quadrant_one_statistic_from_right_to_left_maxima(cls):
+    # A position matches MMP(1,0,0,0) exactly when some later entry is
+    # larger, so the statistic is n minus the number of right-to-left
+    # maxima: a reference that never counts quadrants.
+    for length in range(1, 9):
+        hist = [0] * (length + 1)
+        for word in enumerate_alternating(length, cls):
+            hist[length - right_to_left_maxima(word)] += 1
+        for engine in ("incremental", "python"):
+            assert dist_brute(length, cls, MMP_Q1, engine=engine) == Poly(hist)
+
+
+requirement = st.one_of(st.none(), st.integers(0, 2))
 
 
 @settings(deadline=None, max_examples=40)
@@ -164,9 +174,19 @@ def test_brute_guard(monkeypatch):
         brute_force_limit()
 
 
+def test_import_loads_no_numpy():
+    # the library is pure Python; a heavy import must not creep back in
+    proc = subprocess.run(
+        [sys.executable, "-c", "import meshlab, sys; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"
+
+
 def test_unknown_engine():
-    with pytest.raises(ValueError):
-        dist_brute(3, UP_DOWN, MMP_Q1, engine="quantum")
+    for engine in ("quantum", "auto", "compiled"):
+        with pytest.raises(ValueError):
+            dist_brute(3, UP_DOWN, MMP_Q1, engine=engine)
 
 
 # --- recursion route vs published tables -----------------------------------
