@@ -47,8 +47,9 @@ UNIT_PATTERNS = {
     "q4": QuadrantSpec(0, 0, 0, 1),
 }
 
-# Hard guard for the exhaustive oracle.  Length 14 means ~2 * 10^8 statistic
-# evaluations per class; beyond that you must opt in explicitly.
+# Hard guard for the exhaustive oracle.  At length 14 the "python" engine makes
+# ~2 * 10^8 statistic evaluations per class and the default one holds about
+# C(14, 7) histogram lists (~2 MB); beyond that you must opt in explicitly.
 DEFAULT_BRUTE_LIMIT = 14
 BRUTE_LIMIT_ENV = "MESHLAB_MAX_BRUTE"
 
@@ -163,42 +164,50 @@ def _dist_brute_python(length: int, cls: AlternatingClass, spec: QuadrantSpec) -
 
 
 def _dist_brute_incremental(length: int, cls: AlternatingClass, spec: QuadrantSpec) -> Poly:
-    # The same depth-first walk over every alternating word, but each
-    # position's quadrant counts are fixed the moment its value v lands at
-    # 0-based depth d: with c2 the values already placed above v,
+    # Each position's quadrant counts are fixed the moment its value v lands
+    # at 0-based depth d: with c2 the values already placed above v,
     #   c3 = d - c2,  c1 = (n - v) - c2,  c4 = (v - 1) - c3,
-    # so match[d][v][c2] is that position's 0/1 contribution and the
-    # statistic is summed along the path.  Bit v - 1 of `used` marks value v.
+    # so row[v][c2] is that position's 0/1 contribution.  The rest of a
+    # word's statistic thus depends only on its set of placed values `used`
+    # (bit v - 1 marks value v) and its last value, so all prefixes sharing
+    # that state are extended together, one layer per depth:
+    # layer[used][r] is the histogram of the prefixes that place exactly
+    # `used` and end at its value of 0-based rank r, packed w bits per
+    # coefficient so that multiplying by x is a shift.  A state holds at most
+    # E_n prefixes (the arrangements of its values), so no coefficient
+    # carries into the next.
     n = length
-    match = [
-        [
+    w = zigzag_numbers(n)[n].bit_length()
+    layer: dict[int, list[int]] = {0: []}
+    for d in range(n):
+        row = [
             [int(spec.accepts((n - v - c2, c2, d - c2, v - 1 - d + c2))) for c2 in range(d + 1)]
             for v in range(n + 1)
         ]
-        for d in range(n)
-    ]
-    rising = [cls.rises_into(d) for d in range(n)]
-    free = (1 << n) - 1
-    hist = [0] * (n + 1)
-
-    def walk(d: int, prev: int, used: int, stat: int) -> None:
-        if d == n - 1:
-            v = (free ^ used).bit_length()  # the one value left
-            if (prev < v) == rising[d]:
-                hist[stat + match[d][v][(used >> v).bit_count()]] += 1
-            return
-        row = match[d]
-        for v in range(prev + 1, n + 1) if rising[d] else range(1, prev):
-            bit = 1 << (v - 1)
-            if not used & bit:
-                walk(d + 1, v, used | bit, stat + row[v][(used >> v).bit_count()])
-
-    # A sentinel predecessor lets every value open the word.
-    walk(0, 0 if rising[0] else n + 1, 0, 0)
-    # walk reaches itself through its closure; breaking that cycle here frees
-    # the table now instead of at some later garbage collection.
-    del walk
-    return Poly(hist)
+        # Sweep v so that acc has passed exactly the values v may follow.
+        rising = cls.rises_into(d)
+        values = range(1, n + 1) if rising else range(n, 0, -1)
+        grown: dict[int, list[int]] = {}
+        while layer:  # popitem frees the old layer as the new one fills
+            used, ends = layer.popitem()
+            members = iter(ends) if rising else reversed(ends)
+            acc = 0 if used else 1  # any value may open the word
+            for v in values:
+                bit = 1 << (v - 1)
+                if used & bit:
+                    acc += next(members)
+                elif acc:
+                    succ = used | bit
+                    slot = grown.get(succ)
+                    if slot is None:
+                        slot = grown[succ] = [0] * (d + 1)
+                    c2 = (used >> v).bit_count()
+                    # d - c2 placed values lie below v: its rank in succ
+                    slot[d - c2] = acc << w if row[v][c2] else acc
+        layer = grown
+    (ends,) = layer.values()
+    packed, mask = sum(ends), (1 << w) - 1
+    return Poly([(packed >> (k * w)) & mask for k in range(n + 1)])
 
 
 _ENGINES = {"incremental": _dist_brute_incremental, "python": _dist_brute_python}
@@ -220,12 +229,14 @@ def dist_brute(
     Lengths above the guard (see brute_force_limit) raise
     BruteForceLimitError unless force=True.  engine selects one of:
 
-      * "incremental" (the default): fixes each position's quadrant counts
-        as its value is placed, so a word costs O(1) at its leaf;
+      * "incremental" (the default): extends together all words that share
+        their placed values and last value, O(n 2^n) steps in all;
       * "python": the literal reference, mmp_count on every generated word.
 
-    Any other engine raises ValueError.  Enumeration runs in the calling
-    thread; workers is accepted and ignored, so results never depend on it.
+    Any other engine raises ValueError; a histogram that does not sum to the
+    zigzag number E_length raises ArithmeticError.  Enumeration runs in the
+    calling thread; workers is accepted and ignored, so results never
+    depend on it.
     """
     run = _ENGINES.get(engine)
     if run is None:
@@ -237,7 +248,11 @@ def dist_brute(
     limit = brute_force_limit()
     if length > limit and not force:
         raise BruteForceLimitError(length, limit)
-    return run(length, cls, spec)
+    hist = run(length, cls, spec)
+    total = zigzag_numbers(length)[length]
+    if hist(1) != total:
+        raise ArithmeticError(f"histogram sums to {hist(1)}, not E_{length} = {total}")
+    return hist
 
 
 # ---------------------------------------------------------------------------

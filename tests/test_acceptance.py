@@ -4,8 +4,8 @@ Acceptance criteria, one test per criterion, each printing a PASS/FAIL line
 no tolerances exist anywhere.
 
 Criterion 2 enumerates every alternating permutation up to length 10 by
-default; set MESHLAB_FULL=1 to run the full length-12 gate.  The
-incremental enumeration engine keeps even the length-12 gate under a minute.
+default; set MESHLAB_FULL=1 to run the full length-12 gate.  The default
+enumeration engine runs even the length-12 gate in well under a second.
 
 Criterion 7 is split in two: the report/adjudication machinery, which
 passes, and the literal expected-pass list for the published closed forms,

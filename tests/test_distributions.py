@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import meshlab.distributions
 from meshlab.algebra import Poly, zigzag_numbers
 from meshlab.distributions import (
+    DEFAULT_BRUTE_LIMIT,
     MMP_Q1,
     BruteForceLimitError,
     Family,
@@ -113,6 +115,40 @@ def test_incremental_engine_on_short_words(length):
     for reqs in itertools.product(entries, repeat=4):
         for cls in (UP_DOWN, DOWN_UP):
             assert_incremental_matches_reference(length, cls, QuadrantSpec(*reqs))
+
+
+@pytest.mark.parametrize("spec", [QuadrantSpec(1, 0, None, 2), QuadrantSpec(None, 2, 0, 1)])
+@pytest.mark.parametrize("cls", [UP_DOWN, DOWN_UP])
+def test_incremental_engine_at_length_nine(cls, spec):
+    assert_incremental_matches_reference(9, cls, spec)
+
+
+@pytest.mark.parametrize("cls", [UP_DOWN, DOWN_UP])
+def test_packed_histogram_boundaries(cls):
+    # The default engine packs each coefficient into E_n.bit_length() bits:
+    # the all-zero spec puts all E_n words on x^n (the top coefficient fills
+    # its field), the all-empty spec puts them on x^0 once n >= 2.
+    ee = zigzag_numbers(DEFAULT_BRUTE_LIMIT)
+    for length in range(1, DEFAULT_BRUTE_LIMIT + 1):
+        assert dist_brute(length, cls, QuadrantSpec(0, 0, 0, 0)) == Poly.monomial(
+            ee[length], length
+        )
+        if length >= 2:
+            assert dist_brute(length, cls, QuadrantSpec(None, None, None, None)) == Poly(
+                [ee[length]]
+            )
+        family = family_for(length, cls)
+        assert dist_brute(length, cls, MMP_Q1) == family_polynomial(
+            family, family.index_for_length(length)
+        )
+
+
+def test_histogram_sum_is_checked(monkeypatch):
+    monkeypatch.setitem(
+        meshlab.distributions._ENGINES, "incremental", lambda length, cls, spec: Poly([1])
+    )
+    with pytest.raises(ArithmeticError):
+        dist_brute(5, UP_DOWN, MMP_Q1)
 
 
 def right_to_left_maxima(word) -> int:
