@@ -58,10 +58,10 @@ def _coef_str(c: Fraction) -> str:
     return str(c) if c.denominator == 1 else f"({c})"
 
 
-def _term(c: Fraction, power: int, var: str) -> str:
+def _term(c: Fraction, power: int) -> str:
     if power == 0:
         return _coef_str(c)
-    body = var if power == 1 else f"{var}^{power}"
+    body = "x" if power == 1 else f"x^{power}"
     if c == 1:
         return body
     if c == -1:
@@ -69,15 +69,15 @@ def _term(c: Fraction, power: int, var: str) -> str:
     return f"{_coef_str(c)}{body}"
 
 
-def _sum_str(coeffs, var: str) -> str:
-    parts = [_term(c, j, var) for j, c in enumerate(coeffs) if c != 0]
+def _sum_str(coeffs) -> str:
+    parts = [_term(c, j) for j, c in enumerate(coeffs) if c != 0]
     out = parts[0]
     for term in parts[1:]:
         out += term if term.startswith("-") else f"+{term}"
     return out
 
 
-def format_poly(poly: Poly, var: str = "x") -> str:
+def format_poly(poly: Poly) -> str:
     """
     Compact factored form: the smallest power of x is pulled out front.
 
@@ -91,17 +91,16 @@ def format_poly(poly: Poly, var: str = "x") -> str:
     low = next(i for i, c in enumerate(poly.coeffs) if c)
     inner = poly.coeffs[low:]
     if len(inner) == 1:
-        return _term(inner[0], low, var)
-    body = _sum_str(inner, var)
+        return _term(inner[0], low)
+    body = _sum_str(inner)
     if low == 0:
         return body
-    return f"{_term(Fraction(1), low, var)}({body})"
+    return f"{_term(Fraction(1), low)}({body})"
 
 
-def format_poly_latex(poly: Poly, var: str = "x") -> str:
+def format_poly_latex(poly: Poly) -> str:
     """Same factoring, TeX spelling: exponents braced, \\left( ... \\right)."""
-    text = format_poly(poly, var)
-    text = re.sub(rf"{var}\^(\d+)", rf"{var}^{{\1}}", text)
+    text = re.sub(r"x\^(\d+)", r"x^{\1}", format_poly(poly))
     return text.replace("(", r"\left(").replace(")", r"\right)")
 
 
@@ -109,8 +108,7 @@ _MONO_FACTOR = re.compile(r"^(\d*)(x)(?:\^(\d+))?\((.+)\)$")
 _TERM = re.compile(r"^([+-]?)(?:\((-?\d+)/(\d+)\)|(\d+))?(x(?:\^(\d+))?)?$")
 
 
-def _parse_sum(text: str, var: str) -> Poly:
-    text = text.replace(var, "x")
+def _parse_sum(text: str) -> Poly:
     # split into signed terms at top level; coefficients may carry (a/b) parens
     pieces: list[str] = []
     depth = 0
@@ -149,7 +147,7 @@ def _parse_sum(text: str, var: str) -> Poly:
     return total
 
 
-def parse_poly(text: str, var: str = "x") -> Poly:
+def parse_poly(text: str) -> Poly:
     """
     Inverse of format_poly.
 
@@ -161,15 +159,15 @@ def parse_poly(text: str, var: str = "x") -> Poly:
     text = text.strip().replace(" ", "")
     if not text:
         raise ValueError("empty polynomial text")
-    m = _MONO_FACTOR.match(text.replace(var, "x"))
+    m = _MONO_FACTOR.match(text)
     if m:
         coeff, _, power, inner = m.groups()
         factor = Poly.monomial(
             Fraction(int(coeff)) if coeff else Fraction(1),
             int(power) if power else 1,
         )
-        return factor * _parse_sum(inner, "x")
-    return _parse_sum(text, var)
+        return factor * _parse_sum(inner)
+    return _parse_sum(text)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +272,7 @@ def _update_cache(path: Path, family: Family, rows) -> None:
 
 def cmd_verify(args) -> int:
     try:
-        results = run_suite(args.suite, workers=args.workers, max_length=args.max_length)
+        results = run_suite(args.suite, max_length=args.max_length)
     except BruteForceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -344,9 +342,7 @@ def cmd_brute(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        poly = dist_brute(
-            args.length, cls, spec, workers=args.workers, force=args.force
-        )
+        poly = dist_brute(args.length, cls, spec, force=args.force)
     except BruteForceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

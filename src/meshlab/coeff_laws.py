@@ -25,13 +25,8 @@ from functools import cache
 from math import factorial
 
 from .algebra import Poly, fit_polynomial, tangent_number, zigzag_numbers
-from .distributions import (
-    MMP_Q1,
-    Family,
-    dist_brute,
-    family_polynomial,
-    make_record,
-)
+from .distributions import MMP_Q1, Family, dist_brute, family_polynomial
+from .records import make_record
 from .reference import PRINTED_CLOSED_FORMS
 
 
@@ -118,10 +113,9 @@ def level_set(family: Family, n: int, k: int) -> int:
     return int(value)
 
 
-def level_set_brute(family: Family, n: int, k: int, *, workers: int = 1) -> int:
+def level_set_brute(family: Family, n: int, k: int) -> int:
     """Same count, but from the enumeration oracle instead of the recursion."""
-    poly = dist_brute(level_length(family, n), family.alternating_class, MMP_Q1,
-                      workers=workers)
+    poly = dist_brute(level_length(family, n), family.alternating_class, MMP_Q1)
     value = poly.coefficient(level_base(family, n) + k)
     return int(value)
 
@@ -279,7 +273,7 @@ def level_law_value(family: Family, k: int, n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Checks.  Each returns report records (see distributions.make_record).
+# Checks.  Each returns report records (see records.make_record).
 # ---------------------------------------------------------------------------
 
 
@@ -365,7 +359,7 @@ def seed_identity_check(k_max: int) -> list[dict]:
 
 
 def level_law_check(
-    family: Family, k: int, n_max: int, *, source: str = "recursion", workers: int = 1
+    family: Family, k: int, n_max: int, *, source: str = "recursion"
 ) -> list[dict]:
     """
     Compare level-set counts with the law prediction for n = k+1 .. n_max.
@@ -379,7 +373,7 @@ def level_law_check(
         if source == "recursion":
             count = level_set(family, n, k)
         else:
-            count = level_set_brute(family, n, k, workers=workers)
+            count = level_set_brute(family, n, k)
         predicted = level_law_value(family, k, n)
         records.append(
             make_record(
@@ -419,9 +413,9 @@ def q_variant_adjudication(k_max: int, n_max: int) -> list[dict]:
     return records
 
 
-def confirmed_q_variant(k_max: int = 3, n_max: int = 8) -> str:
+def confirmed_q_variant() -> str:
     by_variant: dict[str, bool] = {}
-    for rec in q_variant_adjudication(k_max, n_max):
+    for rec in q_variant_adjudication(3, 8):
         ok = by_variant.setdefault(rec["variant"], True)
         by_variant[rec["variant"]] = ok and rec["verdict"] == "pass"
     confirmed = [v for v, ok in by_variant.items() if ok]
@@ -458,11 +452,11 @@ def closed_form_check(which: str, k: int, n_values: list[int] | None = None) -> 
     return records
 
 
-def closed_form_verdicts(n_points: int = 8) -> dict[tuple[str, int], bool]:
+def closed_form_verdicts() -> dict[tuple[str, int], bool]:
     """Overall agree/disagree verdict for every published closed form."""
     verdicts = {}
     for which, k in sorted(PRINTED_CLOSED_FORMS):
-        records = closed_form_check(which, k, list(range(k + 1, k + 1 + n_points)))
+        records = closed_form_check(which, k)
         verdicts[(which, k)] = all(r["verdict"] == "pass" for r in records)
     return verdicts
 

@@ -37,6 +37,7 @@ from .permutations import (
     enumerate_alternating,
     mmp_count,
 )
+from .records import make_record
 
 MMP_Q1 = QuadrantSpec(1, 0, 0, 0)
 
@@ -330,39 +331,8 @@ def sec_t_power_of_x(order: int) -> EgfSeries:
 
 
 # ---------------------------------------------------------------------------
-# Verification helpers: each returns plain report records
-# {check, family, k, n, expected, actual, verdict, variant}.
+# Verification helpers: each returns report records (see records.make_record).
 # ---------------------------------------------------------------------------
-
-
-def poly_report_str(poly: Poly) -> str:
-    """Canonical report form: ascending coefficients as decimal strings."""
-    if poly.is_zero():
-        return "0"
-    return ",".join(str(c) for c in poly.coeffs)
-
-
-def _stringify(value) -> str:
-    if isinstance(value, Poly):
-        return poly_report_str(value)
-    if isinstance(value, EgfSeries):
-        return " | ".join(poly_report_str(c) for c in value.coeffs)
-    if isinstance(value, tuple):
-        return "(" + ", ".join(_stringify(v) for v in value) + ")"
-    return str(value)
-
-
-def make_record(check, *, family=None, k=None, n=None, expected, actual, variant=None) -> dict:
-    return {
-        "check": check,
-        "family": family.value if isinstance(family, Family) else family,
-        "k": k,
-        "n": n,
-        "expected": _stringify(expected),
-        "actual": _stringify(actual),
-        "verdict": "pass" if expected == actual else "fail",
-        "variant": variant,
-    }
 
 
 # The four equality chains relating the rotated unit statistics to the
@@ -510,11 +480,11 @@ def closed_form_series_check(order: int) -> list[dict]:
     return records
 
 
-def confirmed_c_variant(order: int = 10) -> str:
+def confirmed_c_variant() -> str:
     """Which inner exponent the exact computation confirms for the C form."""
     verdicts = {
         rec["variant"]: rec["verdict"]
-        for rec in closed_form_series_check(order)
+        for rec in closed_form_series_check(10)
         if rec["check"] == "c-double-integral"
     }
     confirmed = [v for v, verdict in verdicts.items() if verdict == "pass"]

@@ -7,7 +7,7 @@ assertion (it must pass) unless its check name marks it as an adjudication:
 adjudications compare published material against the computed ground truth
 and are informational, so they only gate the strict verdict.  Reports
 serialise deterministically with all values already rendered as decimal
-strings, so runs are byte-identical regardless of worker count.
+strings (see records), so repeated runs are byte-identical.
 """
 from __future__ import annotations
 
@@ -31,11 +31,11 @@ from .distributions import (
     closed_form_series_check,
     egf_family,
     family_polynomial,
-    make_record,
     oracle_equivalence,
     sec_power_identity,
     symmetry_suite,
 )
+from .records import make_record
 from .reference import FAMILY_TABLES, PRINTED_CLOSED_FORMS, ZIGZAG_REFERENCE
 
 # Checks whose failures are informational: they adjudicate published formulas
@@ -102,21 +102,19 @@ def run_tables() -> SuiteResult:
     return result
 
 
-def run_symmetry(max_length: int = 8, *, workers: int = 1) -> SuiteResult:
+def run_symmetry(max_length: int = 8) -> SuiteResult:
     result = SuiteResult("symmetry")
-    result.records = symmetry_suite(max_length, workers=workers)
+    result.records = symmetry_suite(max_length)
     return result
 
 
-def run_oracle(max_length: int = 12, *, workers: int = 1) -> SuiteResult:
+def run_oracle(max_length: int = 12) -> SuiteResult:
     result = SuiteResult("oracle")
-    result.records = oracle_equivalence(max_length, workers=workers)
+    result.records = oracle_equivalence(max_length)
     return result
 
 
-def run_egf(
-    order: int = 14, *, sec_power_max_n: int = 5, workers: int = 1
-) -> SuiteResult:
+def run_egf(order: int = 14, *, sec_power_max_n: int = 5) -> SuiteResult:
     """
     EGF-route checks: parity grading of the four series, the x = 1
     specialisations against the zigzag reference, the composite closed-form
@@ -154,63 +152,52 @@ def run_egf(
     )
 
     result.records.extend(closed_form_series_check(min(order, 12)))
-    result.records.extend(sec_power_identity(sec_power_max_n, workers=workers))
+    result.records.extend(sec_power_identity(sec_power_max_n))
     return result
 
 
-def run_coeff_laws(
-    max_index: int = 10,
-    *,
-    level_k: int = 3,
-    level_n: int = 15,
-    brute_level_max_length: int = 11,
-    workers: int = 1,
-) -> SuiteResult:
+def run_coeff_laws(brute_level_max_length: int = 11) -> SuiteResult:
     """
-    Boundary coefficients for every family row up to max_index, level-set
-    laws for k <= level_k (recursion route up to level_n, oracle route up to
-    the given length), seed identities, and the q-recursion variant
-    adjudication.
+    Boundary coefficients for every family row up to index 10, level-set
+    laws for k <= 3 (recursion route up to n = 15, oracle route up to
+    brute_level_max_length), seed identities for k <= 5, and the q-recursion
+    variant adjudication for k <= 3 and n <= 8.
     """
     result = SuiteResult("coeff-laws")
     for family in Family:
-        for index in range(max(1, family.min_index()), max_index + 1):
+        for index in range(max(1, family.min_index()), 11):
             result.records.append(lowest_coefficient_check(family, index))
             result.records.append(highest_coefficient_check(family, index))
     for family in Family:
-        for k in range(0, level_k + 1):
-            result.records.extend(level_law_check(family, k, level_n))
+        for k in range(4):
+            result.records.extend(level_law_check(family, k, 15))
     # Oracle-backed level laws for A and B, every length the guard allows.
     for family in (Family.A, Family.B):
-        for k in range(0, level_k + 1):
+        for k in range(4):
             n_max = (
                 brute_level_max_length // 2
                 if family is Family.A
                 else (brute_level_max_length - 1) // 2
             )
             if n_max >= k + 1:
-                result.records.extend(
-                    level_law_check(family, k, n_max, source="brute", workers=workers)
-                )
+                result.records.extend(level_law_check(family, k, n_max, source="brute"))
     result.records.extend(seed_identity_check(5))
     result.records.extend(q_variant_adjudication(3, 8))
     return result
 
 
-def run_closed_forms(n_points: int = 8) -> SuiteResult:
+def run_closed_forms() -> SuiteResult:
     """Adjudicate every published closed form against recursion values."""
     result = SuiteResult("closed-forms")
     for which, k in sorted(PRINTED_CLOSED_FORMS):
-        result.records.extend(
-            closed_form_check(which, k, list(range(k + 1, k + 1 + n_points)))
-        )
+        result.records.extend(closed_form_check(which, k))
     return result
 
 
-def run_unimodality(max_index: int = 8) -> SuiteResult:
+def run_unimodality() -> SuiteResult:
     result = SuiteResult("unimodality")
     for family in Family:
-        result.records.extend(unimodality_check(family, max_index))
+        result.records.extend(unimodality_check(family, 8))
     return result
 
 
@@ -218,33 +205,24 @@ def run_unimodality(max_index: int = 8) -> SuiteResult:
 # at that length, and without it each suite keeps its own default.  The oracle
 # suite also stops at the guard; a negative guard admits no length, like 0.
 SUITE_RUNNERS = {
-    "tables": lambda workers, max_length: run_tables(),
-    "symmetry": lambda workers, max_length: run_symmetry(
-        max_length or 8, workers=workers
+    "tables": lambda max_length: run_tables(),
+    "symmetry": lambda max_length: run_symmetry(max_length or 8),
+    "oracle": lambda max_length: run_oracle(
+        min(max_length or 12, max(brute_force_limit(), 0))
     ),
-    "oracle": lambda workers, max_length: run_oracle(
-        min(max_length or 12, max(brute_force_limit(), 0)), workers=workers
-    ),
-    "egf": lambda workers, max_length: run_egf(
-        sec_power_max_n=(max_length or 10) // 2, workers=workers
-    ),
-    "coeff-laws": lambda workers, max_length: run_coeff_laws(
-        brute_level_max_length=max_length or 11, workers=workers
-    ),
-    "closed-forms": lambda workers, max_length: run_closed_forms(),
+    "egf": lambda max_length: run_egf(sec_power_max_n=(max_length or 10) // 2),
+    "coeff-laws": lambda max_length: run_coeff_laws(max_length or 11),
+    "closed-forms": lambda max_length: run_closed_forms(),
 }
 
 
-def run_suite(name: str, *, workers: int = 1, max_length: int | None = None) -> list[SuiteResult]:
+def run_suite(name: str, *, max_length: int | None = None) -> list[SuiteResult]:
     """Run one suite by name, or all of them."""
     if name == "all":
-        return [
-            run_suite(suite, workers=workers, max_length=max_length)[0]
-            for suite in SUITE_RUNNERS
-        ]
+        return [run_suite(suite, max_length=max_length)[0] for suite in SUITE_RUNNERS]
     if name not in SUITE_RUNNERS:
         raise KeyError(name)
-    return [SUITE_RUNNERS[name](workers, max_length)]
+    return [SUITE_RUNNERS[name](max_length)]
 
 
 def write_report(path: str | Path, results: list[SuiteResult]) -> None:

@@ -401,6 +401,19 @@ def test_verify_all_suites(capsys, monkeypatch):
         assert f"suite {suite}: PASS" in out
 
 
+def test_verify_report_does_not_depend_on_workers(capsys, tmp_path):
+    outputs = []
+    for workers in ("1", "3"):
+        report = tmp_path / f"report_{workers}.json"
+        code, out, err = run(
+            capsys, "verify", "--suite", "all", "--max-length", "8",
+            "--report", str(report), "--workers", workers,
+        )
+        outputs.append((code, out, err, report.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+
+
 def test_verify_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--suite", "everything"])

@@ -74,9 +74,6 @@ def test_level_set_examples():
 def test_level_set_matches_brute_force():
     for family in Family:
         for n in range(1, 5):
-            poly_deg = family_polynomial(
-                family, n if family in (Family.A, Family.C) else n + 1
-            ).degree
             for k in range(0, 4):
                 assert level_set(family, n, k) == level_set_brute(family, n, k)
 

@@ -197,6 +197,25 @@ def test_distribution_symmetries_for_arbitrary_patterns(length, reqs):
         assert dist_brute(length, UP_DOWN, spec) == dist_brute(length, DOWN_UP, rev)
 
 
+def rc_class(length: int, cls):
+    return cls if length % 2 == 0 else (DOWN_UP if cls is UP_DOWN else UP_DOWN)
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    st.integers(10, 14),
+    st.sampled_from([UP_DOWN, DOWN_UP]),
+    st.tuples(wide_requirement, wide_requirement, wide_requirement, wide_requirement),
+)
+def test_reverse_complement_symmetry_at_long_lengths(length, cls, reqs):
+    # reverse-complement swaps quadrants I<->III and II<->IV, and keeps the
+    # alternating class at even length only
+    a, b, c, d = reqs
+    assert dist_brute(length, cls, QuadrantSpec(a, b, c, d)) == dist_brute(
+        length, rc_class(length, cls), QuadrantSpec(c, d, a, b)
+    )
+
+
 def test_brute_guard(monkeypatch):
     monkeypatch.setenv("MESHLAB_MAX_BRUTE", "6")
     assert brute_force_limit() == 6
@@ -290,6 +309,21 @@ def test_sec_powers():
     s = sec_t_power_of_x(4)
     assert s.coefficient(0) == Poly.one()
     assert s.coefficient(2) == Poly([0, 1])
+
+
+def test_headline_theorems_against_the_oracle_past_length_twelve():
+    # A(t) = sec(xt)^{1/x} and D(t) = int_0^t sec(xz)^{1+1/x} dz, coefficient
+    # by coefficient, at lengths the oracle suites do not reach by default
+    a_series = sec_xt_power(Poly([1]), 16)
+    for length in (14, 16):
+        assert a_series.coefficient(length) == dist_brute(
+            length, UP_DOWN, MMP_Q1, force=True
+        )
+    d_series = sec_xt_power(Poly([1, 1]), 15).integrate()
+    for length in (13, 15):
+        assert d_series.coefficient(length) == dist_brute(
+            length, DOWN_UP, MMP_Q1, force=True
+        )
 
 
 def test_oracle_equivalence_small():
