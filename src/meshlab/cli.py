@@ -32,7 +32,7 @@ from .distributions import (
     sec_t_power_of_x,
 )
 from .permutations import DOWN_UP, UP_DOWN, QuadrantSpec
-from .verify import SUITE_RUNNERS, is_adjudication, run_suite, write_report
+from .verify import SUITE_RUNNERS, is_adjudication, report_json, run_suite, write_report
 
 DEFAULT_MAX_SERIES_ORDER = 40
 SERIES_ORDER_ENV = "MESHLAB_MAX_SERIES_ORDER"
@@ -279,9 +279,7 @@ def cmd_verify(args) -> int:
     if args.report:
         write_report(args.report, results)
     if args.format == "json":
-        print(json.dumps(
-            [{"suite": r.name, "records": r.records} for r in results], indent=2
-        ))
+        print(report_json(results))
     else:
         for result in results:
             print(result.summary())

@@ -4,13 +4,14 @@ Boundary-coefficient laws and level-set counts for the four families.
 The natural parameterisation for level sets matches the recursions: for a
 parameter n >= 1 the relevant polynomials are A_{2n}, B_{2n+1}, C_{2n} and
 D_{2n+1}.  Each family has a base exponent (the lowest power with a nonzero
-coefficient), a double-factorial multiplier, and a ratio polynomial family:
+coefficient), a double-factorial multiplier, a ratio polynomial family, and a
+top term (the highest power in a row of length L >= 2), held in _LEVELS:
 
-    family  polynomial  base   count at base + k
-    A       A_{2n}      n      p_k(n) (2n-1)!!
-    B       B_{2n+1}    n      q_k(n) (2n)!!
-    C       C_{2n}      n-1    r_k(n) (2n-2)!!
-    D       D_{2n+1}    n      s_k(n) (2n-1)!!
+    family  polynomial  base   count at base + k    top term
+    A       A_{2n}      n      p_k(n) (2n-1)!!      x^(L-1)
+    B       B_{2n+1}    n      q_k(n) (2n)!!        x^(L-2)
+    C       C_{2n}      n-1    r_k(n) (2n-2)!!      x^(L-2)
+    D       D_{2n+1}    n      s_k(n) (2n-1)!!      x^(L-1)
 
 p and q satisfy double-sum recursions seeded by p_k(k+1) = T_{2k+1}/(2k+1)!!
 and q_k(k+1) = T_{2k+1}/(2k)!! (T the tangent numbers); r and s are finite
@@ -20,9 +21,10 @@ an adjudication records which one the oracle confirms.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import comb, factorial
 
 from .algebra import Poly, fit_polynomial, tangent_number, zigzag_numbers
 from .distributions import MMP_Q1, Family, dist_brute, family_polynomial
@@ -67,57 +69,6 @@ def falling_factorial(x, j: int):
     for i in range(j):
         result = result * (x - i)
     return result
-
-
-# ---------------------------------------------------------------------------
-# Level-set parameterisation.
-# ---------------------------------------------------------------------------
-
-
-def _level_polynomial(family: Family, n: int) -> Poly:
-    if family in (Family.A, Family.C):
-        return family_polynomial(family, n)
-    return family_polynomial(family, n + 1)  # B_{2n+1} / D_{2n+1} live in row n + 1
-
-
-def level_length(family: Family, n: int) -> int:
-    return 2 * n if family in (Family.A, Family.C) else 2 * n + 1
-
-
-def level_base(family: Family, n: int) -> int:
-    """Lowest exponent carrying a nonzero coefficient, in the n parameter."""
-    return n - 1 if family is Family.C else n
-
-
-def level_multiplier(family: Family, n: int) -> int:
-    if family is Family.A or family is Family.D:
-        return double_factorial(2 * n - 1)
-    if family is Family.B:
-        return double_factorial(2 * n)
-    return double_factorial(2 * n - 2)
-
-
-def level_set(family: Family, n: int, k: int) -> int:
-    """
-    Number of permutations in the family row with statistic base + k,
-    read off the recursion-computed polynomial.
-
-    >>> level_set(Family.A, 2, 1)
-    2
-    >>> level_set(Family.C, 3, 1)
-    28
-    """
-    value = _level_polynomial(family, n).coefficient(level_base(family, n) + k)
-    if value.denominator != 1:
-        raise ArithmeticError(f"level-set count {value} is not an integer")
-    return int(value)
-
-
-def level_set_brute(family: Family, n: int, k: int) -> int:
-    """Same count, but from the enumeration oracle instead of the recursion."""
-    poly = dist_brute(level_length(family, n), family.alternating_class, MMP_Q1)
-    value = poly.coefficient(level_base(family, n) + k)
-    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +215,68 @@ def s_values(k: int, n_max: int) -> list[Fraction]:
     return [s_value(k, n) for n in range(k + 1, n_max + 1)]
 
 
-_LAW = {Family.A: p_value, Family.B: q_value, Family.C: r_value, Family.D: s_value}
+# ---------------------------------------------------------------------------
+# Level-set parameterisation.
+# ---------------------------------------------------------------------------
+
+
+# The module docstring's table, at level parameter n: the ratio law's letter
+# and value function, row length 2n + length, base exponent n + base,
+# multiplier (2n + multiplier)!! and top term x^(L - top) in a row of length L.
+_Level = namedtuple("_Level", "letter law length base multiplier top")
+
+_LEVELS = {
+    Family.A: _Level("p", p_value, 0, 0, -1, 1),
+    Family.B: _Level("q", q_value, 1, 0, 0, 2),
+    Family.C: _Level("r", r_value, 0, -1, -2, 2),
+    Family.D: _Level("s", s_value, 1, 0, -1, 1),
+}
+_FAMILY_OF_LAW = {row.letter: family for family, row in _LEVELS.items()}
+
+
+def _level_polynomial(family: Family, n: int) -> Poly:
+    return family_polynomial(family, family.index_for_length(level_length(family, n)))
+
+
+def level_length(family: Family, n: int) -> int:
+    return 2 * n + _LEVELS[family].length
+
+
+def level_base(family: Family, n: int) -> int:
+    """Lowest exponent carrying a nonzero coefficient, in the n parameter."""
+    return n + _LEVELS[family].base
+
+
+def level_multiplier(family: Family, n: int) -> int:
+    return double_factorial(2 * n + _LEVELS[family].multiplier)
+
+
+def level_set(family: Family, n: int, k: int) -> int:
+    """
+    Number of permutations in the family row with statistic base + k,
+    read off the recursion-computed polynomial.
+
+    >>> level_set(Family.A, 2, 1)
+    2
+    >>> level_set(Family.C, 3, 1)
+    28
+    """
+    value = _level_polynomial(family, n).coefficient(level_base(family, n) + k)
+    if value.denominator != 1:
+        raise ArithmeticError(f"level-set count {value} is not an integer")
+    return int(value)
+
+
+def level_set_brute(family: Family, n: int, k: int) -> int:
+    """Same count, but from the enumeration oracle instead of the recursion."""
+    poly = dist_brute(level_length(family, n), family.alternating_class, MMP_Q1)
+    value = poly.coefficient(level_base(family, n) + k)
+    return int(value)
 
 
 def level_law_value(family: Family, k: int, n: int) -> Fraction:
     """The predicted level count: ratio polynomial times the multiplier."""
-    return _LAW[family](k, n) * level_multiplier(family, n)
+    return _LEVELS[family].law(k, n) * level_multiplier(family, n)
 
 
 # ---------------------------------------------------------------------------
@@ -280,53 +287,41 @@ def level_law_value(family: Family, k: int, n: int) -> Fraction:
 def lowest_coefficient_check(family: Family, index: int) -> dict:
     """
     The family polynomial vanishes below its base exponent and carries an
-    exact double factorial there:
+    exact double factorial there (the k = 0 level law):
 
         A row n: (2n-1)!! at x^n          B row m: (2m-2)!! at x^(m-1)
         C row n: (2n-2)!! at x^(n-1)      D row m: (2m-3)!! at x^(m-1)
     """
+    if index < 1:
+        raise ValueError(f"boundary checks need index >= 1, got {index}")
     poly = family_polynomial(family, index)
-    if family is Family.A:
-        base, expected = index, double_factorial(2 * index - 1)
-    elif family is Family.B:
-        base, expected = index - 1, double_factorial(2 * index - 2)
-    elif family is Family.C:
-        base, expected = index - 1, double_factorial(2 * index - 2)
-    else:
-        base, expected = index - 1, double_factorial(2 * index - 3)
+    n = index - level_length(family, 0)
+    base, expected = level_base(family, n), level_multiplier(family, n)
     below_ok = all(poly.coefficient(e) == 0 for e in range(base))
-    actual = poly.coefficient(base)
     return make_record(
         "lowest-coefficient",
         family=family,
         n=index,
         expected=(True, Fraction(expected)),
-        actual=(below_ok, actual),
+        actual=(below_ok, poly.coefficient(base)),
     )
 
 
 def highest_coefficient_check(family: Family, index: int) -> dict:
     """
-    Degree and leading coefficient:
+    Degree and leading coefficient C(L-1, degree) E_degree of the top term:
 
         A row n: degree 2n-1, leading T_{2n-1}
         B row m: degree 2m-3, leading (2m-2) T_{2m-3}   (row 1 is the seed 1)
         C row n: degree 2n-2, leading (2n-1) S_{2n-2}
-        D row m: degree 2m-2, leading S_{2m-2}
+        D row m: degree 2m-2, leading S_{2m-2}          (row 1 is the seed 1)
     """
+    if index < 1:
+        raise ValueError(f"boundary checks need index >= 1, got {index}")
     poly = family_polynomial(family, index)
-    ee = zigzag_numbers(2 * index)
-    if family is Family.A:
-        degree, lead = 2 * index - 1, ee[2 * index - 1]
-    elif family is Family.B:
-        if index == 1:
-            degree, lead = 0, 1
-        else:
-            degree, lead = 2 * index - 3, (2 * index - 2) * ee[2 * index - 3]
-    elif family is Family.C:
-        degree, lead = 2 * index - 2, (2 * index - 1) * ee[2 * index - 2]
-    else:
-        degree, lead = 2 * index - 2, ee[2 * index - 2]
+    length = family.length(index)
+    degree = max(length - _LEVELS[family].top, 0)  # a length-1 row is the seed 1
+    lead = comb(length - 1, degree) * zigzag_numbers(degree)[degree]
     return make_record(
         "highest-coefficient",
         family=family,
@@ -432,8 +427,7 @@ def closed_form_check(which: str, k: int, n_values: list[int] | None = None) -> 
     pins down polynomials of the printed degrees uniquely.
     """
     poly, display = PRINTED_CLOSED_FORMS[(which, k)]
-    family = {"p": Family.A, "q": Family.B, "r": Family.C, "s": Family.D}[which]
-    value_fn = _LAW[family]
+    family = _FAMILY_OF_LAW[which]
     if n_values is None:
         n_values = list(range(k + 1, k + 9))
     records = []
@@ -444,7 +438,7 @@ def closed_form_check(which: str, k: int, n_values: list[int] | None = None) -> 
                 family=family,
                 k=k,
                 n=n,
-                expected=value_fn(k, n),
+                expected=_LEVELS[family].law(k, n),
                 actual=poly(Fraction(n)),
                 variant=display,
             )
@@ -466,8 +460,7 @@ def fit_ratio_polynomial(which: str, k: int) -> Poly:
     Interpolate the ratio values on 2k + 1 points from the seed: the printed
     forms have degree 2k, so this is the unique candidate polynomial.
     """
-    family = {"p": Family.A, "q": Family.B, "r": Family.C, "s": Family.D}[which]
-    value_fn = _LAW[family]
+    value_fn = _LEVELS[_FAMILY_OF_LAW[which]].law
     points = [(Fraction(n), value_fn(k, n)) for n in range(k + 1, k + 2 + 2 * k)]
     return fit_polynomial(points)
 
@@ -480,7 +473,7 @@ def unimodality_check(family: Family, max_index: int) -> list[dict]:
     prominently rather than raised.
     """
     records = []
-    for index in range(max(1, family.min_index()), max_index + 1):
+    for index in range(1, max_index + 1):
         poly = family_polynomial(family, index)
         coeffs = list(poly.coeffs)
         first = next(i for i, c in enumerate(coeffs) if c)

@@ -65,10 +65,6 @@ ZIGZAG_REFERENCE: tuple[int, ...] = (
     353792, 2702765, 22368256, 199360981,
 )
 
-SECANT_REFERENCE: tuple[int, ...] = ZIGZAG_REFERENCE[0::2]   # E_0, E_2, ...
-TANGENT_REFERENCE: tuple[int, ...] = ZIGZAG_REFERENCE[1::2]  # E_1, E_3, ...
-
-
 def _scaled(numerators: list[int], denominator: int) -> Poly:
     return Poly(Fraction(c, denominator) for c in numerators)
 

@@ -1,5 +1,6 @@
 import contextlib
 import doctest
+import hashlib
 import io
 import json
 import os
@@ -412,6 +413,27 @@ def test_verify_report_does_not_depend_on_workers(capsys, tmp_path):
         outputs.append((code, out, err, report.read_bytes()))
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("--suite", "coeff-laws", "--max-length", "11"),
+            "80c2078f154bc1282f39f09e63d89e4ef522109935b8dc84e06bf9d43bc95192",
+        ),
+        (
+            ("--suite", "all", "--max-length", "8"),
+            "b1081fd47aed14d631fb5ce5a47370bcab1962b367470b5f65b5db9e59015cc1",
+        ),
+    ],
+)
+def test_verify_report_bytes_are_pinned(capsys, tmp_path, argv, digest):
+    # any change to a record, its order or its rendering changes the digest
+    report = tmp_path / "report.json"
+    code, _, _ = run(capsys, "verify", *argv, "--report", str(report))
+    assert code == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
 def test_verify_usage_error():

@@ -13,8 +13,10 @@ from meshlab.coeff_laws import (
     falling_factorial,
     fit_ratio_polynomial,
     highest_coefficient_check,
+    level_base,
     level_law_check,
     level_law_value,
+    level_length,
     level_multiplier,
     level_set,
     level_set_brute,
@@ -96,6 +98,36 @@ def test_boundary_checks_pass_through_index_8():
         for index in range(1, 9):
             assert lowest_coefficient_check(family, index)["verdict"] == "pass"
             assert highest_coefficient_check(family, index)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "check, family",
+    [
+        (highest_coefficient_check, Family.A),
+        (highest_coefficient_check, Family.C),
+        (lowest_coefficient_check, Family.C),
+    ],
+)
+def test_boundary_checks_refuse_row_zero(check, family):
+    # row 0 exists for A and C, but the boundary laws start at row 1
+    family_polynomial(family, 0)
+    with pytest.raises(ValueError, match="index >= 1"):
+        check(family, 0)
+
+
+def test_level_parameterisation_matches_the_docstring_table():
+    # the module docstring's laws written out by hand, with no shared table
+    laws = {
+        Family.A: (lambda n: 2 * n, lambda n: n, lambda n: 2 * n - 1),
+        Family.B: (lambda n: 2 * n + 1, lambda n: n, lambda n: 2 * n),
+        Family.C: (lambda n: 2 * n, lambda n: n - 1, lambda n: 2 * n - 2),
+        Family.D: (lambda n: 2 * n + 1, lambda n: n, lambda n: 2 * n - 1),
+    }
+    for family, (length, base, multiplier) in laws.items():
+        for n in range(1, 9):
+            assert level_length(family, n) == length(n)
+            assert level_base(family, n) == base(n)
+            assert level_multiplier(family, n) == double_factorial(multiplier(n))
 
 
 def test_boundary_spot_values():

@@ -313,16 +313,27 @@ def test_sec_powers():
 
 def test_headline_theorems_against_the_oracle_past_length_twelve():
     # A(t) = sec(xt)^{1/x} and D(t) = int_0^t sec(xz)^{1+1/x} dz, coefficient
-    # by coefficient, at lengths the oracle suites do not reach by default
+    # by coefficient, at lengths the oracle suites do not reach by default;
+    # every oracle row also matches the positional recursion
     a_series = sec_xt_power(Poly([1]), 16)
-    for length in (14, 16):
-        assert a_series.coefficient(length) == dist_brute(
-            length, UP_DOWN, MMP_Q1, force=True
-        )
     d_series = sec_xt_power(Poly([1, 1]), 15).integrate()
-    for length in (13, 15):
-        assert d_series.coefficient(length) == dist_brute(
-            length, DOWN_UP, MMP_Q1, force=True
+    for length, cls, series in (
+        (14, UP_DOWN, a_series), (16, UP_DOWN, a_series),
+        (13, DOWN_UP, d_series), (15, DOWN_UP, d_series),
+    ):
+        oracle = dist_brute(length, cls, MMP_Q1, force=True)
+        assert series.coefficient(length) == oracle
+        family = family_for(length, cls)
+        assert family_polynomial(family, family.index_for_length(length)) == oracle
+    for family, length in ((Family.B, 13), (Family.B, 15), (Family.C, 14), (Family.C, 16)):
+        assert family_polynomial(family, family.index_for_length(length)) == dist_brute(
+            length, family.alternating_class, MMP_Q1, force=True
+        )
+    # (sec t)^x against MMP(1,0,e,0) over up-down words
+    sec_power = sec_t_power_of_x(16)
+    for length in (14, 16):
+        assert sec_power.coefficient(length) == dist_brute(
+            length, UP_DOWN, QuadrantSpec(1, 0, None, 0), force=True
         )
 
 
