@@ -2,9 +2,9 @@
 Exact arithmetic: dense rational polynomials and truncated exponential
 generating functions whose coefficients are polynomials.
 
-Everything here is exact; no floating point enters at any stage.  Rational
-coefficients are plain fractions.Fraction values (already normalised to lowest
-terms with a positive denominator).
+Everything here is exact; no floating point enters at any stage.  Integral
+coefficients are plain ints, so the hot loops run on Python ints; the rest
+are fractions.Fraction values in lowest terms with a positive denominator.
 
 An EgfSeries of order N stores polynomials c_0 .. c_N and denotes
 F(t, x) = sum c_n(x) t^n / n!.  Products are therefore binomial convolutions
@@ -25,6 +25,8 @@ class Poly:
     """
     Dense univariate polynomial with exact rational coefficients, ascending
     powers.  Trailing zeros are trimmed; the zero polynomial stores nothing.
+    Integral coefficients are stored as int, the rest as normalised Fraction;
+    coefficient() and evaluation return Fraction all the same.
 
     Immutable by convention: never mutate .coeffs.
 
@@ -39,10 +41,10 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _normal(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple[Rational, ...] = tuple(cs)
 
     @classmethod
     def zero(cls) -> Poly:
@@ -70,9 +72,7 @@ class Poly:
 
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of x^k; zero beyond the degree."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
+        return Fraction(self.coeffs[k] if 0 <= k < len(self.coeffs) else 0)
 
     def shift(self, k: int) -> Poly:
         """Multiply by x^k."""
@@ -80,7 +80,7 @@ class Poly:
             raise ValueError("shift exponent must be nonnegative")
         if self.is_zero() or k == 0:
             return self
-        return Poly((Fraction(0),) * k + self.coeffs)
+        return Poly((0,) * k + self.coeffs)
 
     def __add__(self, other: Poly | Rational) -> Poly:
         other = _coerce(other)
@@ -112,7 +112,7 @@ class Poly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return _ZERO
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -135,7 +135,7 @@ class Poly:
         result = value * 0  # additive zero of the argument's kind
         for c in reversed(self.coeffs):
             result = result * value + c
-        return result
+        return Fraction(result) if type(result) is int else result
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
@@ -151,7 +151,13 @@ class Poly:
         return not self.is_zero()
 
     def __repr__(self) -> str:
-        return f"Poly({tuple(int(c) if c.denominator == 1 else c for c in self.coeffs)!r})"
+        return f"Poly({self.coeffs!r})"
+
+
+def _normal(c) -> Rational:
+    """Exact normal form: an int when integral, else a lowest-terms Fraction."""
+    f = Fraction(c)
+    return f.numerator if f.denominator == 1 else f
 
 
 _ZERO = Poly()

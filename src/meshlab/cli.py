@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import Poly, sec_series, tan_series
+from .algebra import Poly, Rational, sec_series, tan_series
 from .coeff_laws import unimodality_check
 from .distributions import (
     BruteForceLimitError,
@@ -54,11 +54,11 @@ def max_series_order() -> int:
 # ---------------------------------------------------------------------------
 
 
-def _coef_str(c: Fraction) -> str:
+def _coef_str(c: Rational) -> str:
     return str(c) if c.denominator == 1 else f"({c})"
 
 
-def _term(c: Fraction, power: int) -> str:
+def _term(c: Rational, power: int) -> str:
     if power == 0:
         return _coef_str(c)
     body = "x" if power == 1 else f"x^{power}"
@@ -95,7 +95,7 @@ def format_poly(poly: Poly) -> str:
     body = _sum_str(inner)
     if low == 0:
         return body
-    return f"{_term(Fraction(1), low)}({body})"
+    return f"{_term(1, low)}({body})"
 
 
 def format_poly_latex(poly: Poly) -> str:
@@ -162,10 +162,7 @@ def parse_poly(text: str) -> Poly:
     m = _MONO_FACTOR.match(text)
     if m:
         coeff, _, power, inner = m.groups()
-        factor = Poly.monomial(
-            Fraction(int(coeff)) if coeff else Fraction(1),
-            int(power) if power else 1,
-        )
+        factor = Poly.monomial(int(coeff or 1), int(power or 1))
         return factor * _parse_sum(inner)
     return _parse_sum(text)
 
@@ -277,7 +274,11 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if args.report:
-        write_report(args.report, results)
+        try:
+            write_report(args.report, results)
+        except OSError as exc:
+            print(f"error: cannot write report {args.report}: {exc}", file=sys.stderr)
+            return 1
     if args.format == "json":
         print(report_json(results))
     else:
@@ -325,9 +326,7 @@ def cmd_series(args) -> int:
     print(f"# {args.gf}: coefficient of t^n/n! per row")
     for n in range(series.order + 1):
         poly = series.coefficient(n)
-        rendered = (
-            format_poly_latex(poly) if args.format == "latex" else format_poly(poly)
-        )
+        rendered = format_poly_latex(poly) if args.format == "latex" else format_poly(poly)
         print(f"{n} {rendered}")
     return 0
 

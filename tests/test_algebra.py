@@ -51,6 +51,52 @@ def test_poly_normalisation():
     assert Poly([0, 0]).is_zero()
     assert Poly().degree == -1
     assert Poly([Fraction(1, 2)]).coeffs == (Fraction(1, 2),)
+    assert type(Poly([Fraction(1, 2)]).coeffs[0]) is Fraction
+    # integral values are stored as int, whatever type they arrive as
+    p = Poly([Fraction(6, 2)])
+    assert p.coeffs == (3,) and type(p.coeffs[0]) is int
+    assert type(Poly([True]).coeffs[0]) is int
+    # a float converts exactly, never by truncation
+    assert Poly([0.5]).coeffs == (Fraction(1, 2),)
+    assert Poly([3]) == Poly([Fraction(3)])
+    assert hash(Poly([3])) == hash(Poly([Fraction(3)]))
+
+
+def test_poly_public_values_stay_fractions():
+    p = Poly([0, 0, 3, 2])
+    assert type(p.coefficient(3)) is Fraction and p.coefficient(3) == 2
+    assert type(p.coefficient(17)) is Fraction
+    assert type(p(1)) is Fraction and p(1) == Fraction(5, 1)
+    assert type(Poly()(1)) is Fraction
+    assert p(Fraction(1, 2)) == 1 and type(p(Fraction(1, 2))) is Fraction
+
+
+def _fraction_sum(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+
+
+def _fraction_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _normal_form(values: list[Fraction]) -> list[tuple]:
+    """(type, value) per coefficient, trailing zeros trimmed, as Poly stores them."""
+    while values and values[-1] == 0:
+        values = values[:-1]
+    return [(int, v.numerator) if v.denominator == 1 else (Fraction, v) for v in values]
+
+
+@given(polys(), polys())
+def test_poly_arithmetic_matches_fraction_convolution(a, b):
+    fa = [Fraction(c) for c in a.coeffs]
+    fb = [Fraction(c) for c in b.coeffs]
+    for got, want in ((a + b, _fraction_sum(fa, fb)), (a * b, _fraction_product(fa, fb))):
+        assert [(type(c), c) for c in got.coeffs] == _normal_form(want)
 
 
 def test_poly_scalar_and_eval():

@@ -436,6 +436,50 @@ def test_verify_report_bytes_are_pinned(capsys, tmp_path, argv, digest):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
+# sha256 of stdout, taken from the all-Fraction algebra before ints were
+# stored: series to order 40 as JSON, table rows to index 12 as LaTeX
+EXACT_OUTPUT_DIGESTS = [
+    (("series", "--gf", "A"), "19eda6fa4473f651e1c923e072724c2be33ab75cb2fc220decae05c97cefdbeb"),
+    (("series", "--gf", "B"), "654b3badf48ea1498788228da79810dbf328d8ef10cb3d576ad48744286a6cce"),
+    (("series", "--gf", "C"), "1b2f3450d1ea0b369c352e095ac2d431549b705dc668656d63996482afe4291f"),
+    (("series", "--gf", "D"), "38fc77e4e092fc8714e2ed733a2b3e58b9f23818d0b635d13441cccbbff3e3f8"),
+    (("series", "--gf", "sec^x"), "26da34455e5657105ec6b6784647375d8c147f511ab9770e6d4da1187870894c"),
+    (("series", "--gf", "secx"), "943323f21abc70fce9efd2eeffcde7e9362531d381603b166e8a82d879350555"),
+    (("series", "--gf", "tanx"), "7d0283ad2d73c7f09e936ce82ff90672076ba7055fa432216029d65e571a9cc4"),
+    (("table", "--family", "A"), "4e86fe1025b92ceb36f8da72922622bf0d1575c0689c04f05e124d0a468875d1"),
+    (("table", "--family", "B"), "ef8fbe76bf08d2db792287f6818288f75fe303d5be3e648c754f0dfc570a5805"),
+    (("table", "--family", "C"), "dcb7562c1c9b1425fb0787d305f51bfd4be1a3cda9d267fe392d968f79513180"),
+    (("table", "--family", "D"), "0ef1ea19caf35ed97fda5bbb494cef74b780bf24fb05ba514fc8001e9d174d63"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", EXACT_OUTPUT_DIGESTS,
+    ids=[f"{argv[0]}-{argv[-1]}" for argv, _ in EXACT_OUTPUT_DIGESTS],
+)
+def test_exact_series_output_bytes_are_pinned(capsys, argv, digest):
+    # every coefficient's exact decimal text passes through these digests
+    extra = ("--order", "40", "--format", "json") if argv[0] == "series" else (
+        "--max-index", "12", "--format", "latex")
+    code, out, err = run(capsys, *argv, *extra)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_report_to_an_unwritable_path_is_an_error(tmp_path):
+    report = tmp_path / "missing" / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "meshlab.cli", "verify", "--suite", "tables",
+         "--report", str(report)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: cannot write report {report}: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert not report.exists()
+
+
 def test_verify_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--suite", "everything"])

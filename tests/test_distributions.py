@@ -311,6 +311,22 @@ def test_sec_powers():
     assert s.coefficient(2) == Poly([0, 1])
 
 
+def _all_int(polys) -> bool:
+    return all(type(c) is int for p in polys for c in p.coeffs)
+
+
+def test_exact_hot_path_runs_on_ints():
+    # the series and recursion rows are integral, so they must be stored as
+    # plain ints: a Fraction creeping back in here is an ~8x slowdown
+    for family in Family:
+        assert _all_int(egf_family(family, 40).coeffs), family
+        assert _all_int(
+            family_polynomial(family, i) for i in range(family.min_index(), 21)
+        ), family
+    assert _all_int(sec_t_power_of_x(40).coeffs)
+    assert _all_int(sec_xt_power(Poly([1, 1]), 30).coeffs)
+
+
 def test_headline_theorems_against_the_oracle_past_length_twelve():
     # A(t) = sec(xt)^{1/x} and D(t) = int_0^t sec(xz)^{1+1/x} dz, coefficient
     # by coefficient, at lengths the oracle suites do not reach by default;
