@@ -7,9 +7,10 @@ coefficients are plain ints, so the hot loops run on Python ints; the rest
 are fractions.Fraction values in lowest terms with a positive denominator.
 
 An EgfSeries of order N stores polynomials c_0 .. c_N and denotes
-F(t, x) = sum c_n(x) t^n / n!.  Products are therefore binomial convolutions
-of the coefficient lists.  Truncation orders are explicit and arithmetic
-between series of different orders is an error; call truncate() first when
+F(t, x) = sum c_n(x) t^n / n!, so products are binomial convolutions.  Each
+product, of polynomials or of series, accumulates every output coefficient
+in one list of raw coefficients and makes one Poly from it.  Truncation
+orders are explicit and mixing them is an error; call truncate() first when
 that is what you mean.
 """
 from __future__ import annotations
@@ -110,14 +111,8 @@ class Poly:
             return Poly(tuple(c * other for c in self.coeffs))
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return _ZERO
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
+        out: list[Rational] = []
+        _mul_into(out, self.coeffs, other.coeffs, 1)
         return Poly(out)
 
     __rmul__ = __mul__
@@ -171,6 +166,32 @@ def _coerce(value: Poly | Rational) -> Poly:
     return Poly([value])
 
 
+def _mul_into(
+    out: list, a: Sequence[Rational], b: Sequence[Rational], scale: Rational, shift: int = 0
+) -> None:
+    """
+    out[shift + i + j] += scale * a[i] * b[j] on raw coefficient lists, out grown to
+    fit.  Zero entries are skipped, so a monomial factor costs one pass over b.
+    """
+    out.extend([0] * (shift + len(a) + len(b) - 1 - len(out)))
+    for i, x in enumerate(a, shift):
+        if x:
+            x *= scale
+            for j, y in enumerate(b, i):
+                if y:
+                    out[j] += x * y
+
+
+def _binomial_term(f: Sequence[Poly], g: Sequence[Poly], n: int, plus: Poly = _ZERO) -> Poly:
+    """sum_k binom(n, k) f_k g_{n-k} + plus, summed in one coefficient list."""
+    out = list(plus.coeffs)
+    for k in range(n + 1):
+        a, b = f[k].coeffs, g[n - k].coeffs
+        if a and b:
+            _mul_into(out, a, b, comb(n, k))
+    return Poly(out)
+
+
 class EgfSeries:
     """
     Truncated exponential generating function with polynomial coefficients:
@@ -219,16 +240,9 @@ class EgfSeries:
             return EgfSeries(c * factor for c in self.coeffs)
         self._check_order(other)
         # EGF product: c_n(fg) = sum_k binom(n, k) c_k(f) c_{n-k}(g)
-        out = []
-        for n in range(self.order + 1):
-            acc = _ZERO
-            for k in range(n + 1):
-                a = self.coeffs[k]
-                b = other.coeffs[n - k]
-                if a and b:
-                    acc = acc + (a * b) * comb(n, k)
-            out.append(acc)
-        return EgfSeries(out)
+        return EgfSeries(
+            _binomial_term(self.coeffs, other.coeffs, n) for n in range(self.order + 1)
+        )
 
     __rmul__ = __mul__
 
@@ -281,13 +295,7 @@ def solve_linear_ode(
         raise ValueError(f"f and g must be defined through order {order - 1}")
     coeffs = [_coerce(y0)]
     for n in range(order):
-        acc = g.coeffs[n]
-        for k in range(n + 1):
-            fk = f.coeffs[k]
-            cnk = coeffs[n - k]
-            if fk and cnk:
-                acc = acc + (fk * cnk) * comb(n, k)
-        coeffs.append(acc)
+        coeffs.append(_binomial_term(f.coeffs, coeffs, n, g.coeffs[n]))
     return EgfSeries(coeffs)
 
 

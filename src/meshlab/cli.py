@@ -105,11 +105,11 @@ def format_poly_latex(poly: Poly) -> str:
 
 
 _MONO_FACTOR = re.compile(r"^(\d*)(x)(?:\^(\d+))?\((.+)\)$")
-_TERM = re.compile(r"^([+-]?)(?:\((-?\d+)/(\d+)\)|(\d+))?(x(?:\^(\d+))?)?$")
+_TERM = re.compile(r"^([+-]?)(?:\((-?\d+)/(\d*[1-9]\d*)\)|(\d+))?(x(?:\^(\d+))?)?$")
 
 
 def _parse_sum(text: str) -> Poly:
-    # split into signed terms at top level; coefficients may carry (a/b) parens
+    # split into signed terms at top level; coefficients may carry (a/b) parens, b != 0
     pieces: list[str] = []
     depth = 0
     current = ""

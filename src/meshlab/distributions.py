@@ -24,6 +24,7 @@ from math import comb
 from .algebra import (
     EgfSeries,
     Poly,
+    _mul_into,
     sec_series,
     solve_linear_ode,
     tan_series,
@@ -138,11 +139,11 @@ def _positional(length: int, cls: AlternatingClass) -> Poly:
     if length <= 1:
         return Poly.one()
     ee = zigzag_numbers(length - 1)
-    acc = Poly.zero()
+    out: list[int] = []
     for j in range(1 if cls is UP_DOWN else 0, length, 2):
-        term = _positional(length - 1 - j, UP_DOWN) * (comb(length - 1, j) * ee[j])
-        acc = acc + term.shift(j)
-    return acc
+        rest = _positional(length - 1 - j, UP_DOWN).coeffs
+        _mul_into(out, (ee[j],), rest, comb(length - 1, j), j)
+    return Poly(out)
 
 
 def family_polynomial(family: Family, index: int) -> Poly:

@@ -1,6 +1,7 @@
 import doctest
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -259,6 +260,65 @@ def test_ode_residual_vanishes(f_coeffs, g_coeffs, y0):
     residual = y.differentiate() - (f * y.truncate(order - 1) + g)
     assert residual == EgfSeries.constant(Poly.zero(), order - 1)
     assert y.coefficient(0) == y0
+
+
+def _fraction_series_product(f: list[list[Fraction]], g: list[list[Fraction]]) -> list:
+    """c_n = sum_k binom(n, k) f_k g_{n-k}, one Fraction list per term."""
+    out = []
+    for n in range(len(f)):
+        acc: list[Fraction] = []
+        for k in range(n + 1):
+            term = [comb(n, k) * c for c in _fraction_product(f[k], g[n - k])]
+            acc = _fraction_sum(acc, term)
+        out.append(acc)
+    return out
+
+
+def _fraction_ode(f: list, g: list, y0: list[Fraction], order: int) -> list:
+    """c_0 = y0, c_{n+1} = g_n + sum_k binom(n, k) f_k c_{n-k}, all in Fractions."""
+    ys = [y0]
+    for n in range(order):
+        acc = list(g[n])
+        for k in range(n + 1):
+            term = [comb(n, k) * c for c in _fraction_product(f[k], ys[n - k])]
+            acc = _fraction_sum(acc, term)
+        ys.append(acc)
+    return ys
+
+
+def _as_fractions(series: list[Poly]) -> list[list[Fraction]]:
+    return [[Fraction(c) for c in p.coeffs] for p in series]
+
+
+def _stored(series: EgfSeries) -> list[list[tuple]]:
+    return [[(type(c), c) for c in p.coeffs] for p in series.coeffs]
+
+
+def _series_pair(max_order: int = 5):
+    def of_order(n):
+        series = st.lists(polys(), min_size=n + 1, max_size=n + 1)
+        return st.tuples(series, series)
+
+    return st.integers(0, max_order).flatmap(of_order)
+
+
+@settings(deadline=None)
+@given(_series_pair())
+def test_egf_mul_matches_a_per_term_fraction_loop(pair):
+    f, g = pair
+    want = _fraction_series_product(_as_fractions(f), _as_fractions(g))
+    assert _stored(EgfSeries(f) * EgfSeries(g)) == [_normal_form(w) for w in want]
+
+
+@settings(deadline=None)
+@given(_series_pair(), polys())
+def test_ode_matches_a_per_term_fraction_loop(pair, y0):
+    # f and g through order - 1 determine Y through order
+    f, g = pair
+    order = len(f)
+    want = _fraction_ode(_as_fractions(f), _as_fractions(g), _as_fractions([y0])[0], order)
+    got = solve_linear_ode(EgfSeries(f), EgfSeries(g), y0, order)
+    assert _stored(got) == [_normal_form(w) for w in want]
 
 
 def test_ode_underdefined_inputs_error():

@@ -73,6 +73,13 @@ def test_parse_poly_forms():
         parse_poly("3y^2+?")
 
 
+@pytest.mark.parametrize("text", ["(1/0)x", "(1/0)", "3+(-2/00)x^2", "x^2((1/0)+x)"])
+def test_parse_poly_zero_denominator_is_a_value_error(text):
+    # unreadable text, as the docstring promises, not a ZeroDivisionError
+    with pytest.raises(ValueError, match="cannot parse"):
+        parse_poly(text)
+
+
 def test_format_poly_latex():
     assert format_poly_latex(Poly([0, 0, 3, 2])) == r"x^{2}\left(3+2x\right)"
     assert format_poly_latex(Poly([0, 1])) == "x"

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import subprocess
 import sys
 
@@ -321,10 +323,42 @@ def test_exact_hot_path_runs_on_ints():
     for family in Family:
         assert _all_int(egf_family(family, 40).coeffs), family
         assert _all_int(
-            family_polynomial(family, i) for i in range(family.min_index(), 21)
+            family_polynomial(family, i) for i in range(family.min_index(), 41)
         ), family
     assert _all_int(sec_t_power_of_x(40).coeffs)
     assert _all_int(sec_xt_power(Poly([1, 1]), 30).coeffs)
+    # the sec(xt)^{-1/x} series that closed_form_series_check(40) integrates
+    assert _all_int(sec_xt_power(Poly([-1]), 39).coeffs)
+
+
+# sha256 of the exact results at the benchmark's scale, as the code printed
+# them before products were summed in one coefficient list
+SERIES_80_DIGESTS = {
+    "egf-A": "d7b412f9b5805581e8929cd30eb359249bbe730ae4112db87d7c26a6f625ba90",
+    "egf-B": "74e35d0a09a12ad7d3b22b5e0b2a1a9b21cc359484dd3957239a6a4b9c60bec8",
+    "egf-C": "7a280c7ba990a455b93a3ba0969a13c6eacf7d3adb296372ea52b5f8873b1c2e",
+    "egf-D": "bb9dd098c58c0e31b8335a35653b4dee12878ee8eefcd1c817a20ad4b4614fac",
+    "sec^x": "d9c4b79b453de9a4559256387f2d6e5e8feae12614b920ef9685eef6b944e4ff",
+    "rows-A": "cc42b68e9cea48999c9445f3a4aacc2db182351c4bc1c669c1ddb842cdcfb529",
+    "rows-B": "aa74a507f4300b9f50bb05b1e1048c659874634d65714a3c7e7f8e0595150a93",
+    "rows-C": "bfdb53343ef4e890ad2dae18fbf2905fbcec591efe19f53afd21e1dbc41a3def",
+    "rows-D": "15aae3e1589a84f18a19b0417484d589d6f664b2e9d2eb942d998d0d6051792c",
+    "closed-forms": "74469bda52392e7d7d1d7a59d9b5812d22d2ec89cfc06327131390aa12cf55c1",
+}
+
+
+def test_exact_results_at_benchmark_scale_are_pinned():
+    # egf_family and sec_t_power_of_x at order 80, recursion rows 0..40 and
+    # the closed-form records at order 40: repr prints every stored type
+    texts = {"sec^x": repr(sec_t_power_of_x(80).coeffs)}
+    for family in Family:
+        texts[f"egf-{family.value}"] = repr(egf_family(family, 80).coeffs)
+        texts[f"rows-{family.value}"] = repr(
+            [family_polynomial(family, i) for i in range(family.min_index(), 41)]
+        )
+    texts["closed-forms"] = json.dumps(closed_form_series_check(40), sort_keys=True)
+    digests = {key: hashlib.sha256(text.encode()).hexdigest() for key, text in texts.items()}
+    assert digests == SERIES_80_DIGESTS
 
 
 def test_headline_theorems_against_the_oracle_past_length_twelve():
