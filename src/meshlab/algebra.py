@@ -75,14 +75,6 @@ class Poly:
         """Coefficient of x^k; zero beyond the degree."""
         return Fraction(self.coeffs[k] if 0 <= k < len(self.coeffs) else 0)
 
-    def shift(self, k: int) -> Poly:
-        """Multiply by x^k."""
-        if k < 0:
-            raise ValueError("shift exponent must be nonnegative")
-        if self.is_zero() or k == 0:
-            return self
-        return Poly((0,) * k + self.coeffs)
-
     def __add__(self, other: Poly | Rational) -> Poly:
         other = _coerce(other)
         a, b = self.coeffs, other.coeffs

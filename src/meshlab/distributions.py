@@ -169,33 +169,41 @@ def _dist_brute_incremental(length: int, cls: AlternatingClass, spec: QuadrantSp
     # Each position's quadrant counts are fixed the moment its value v lands
     # at 0-based depth d: with c2 the values already placed above v,
     #   c3 = d - c2,  c1 = (n - v) - c2,  c4 = (v - 1) - c3,
-    # so row[v][c2] is that position's 0/1 contribution.  The rest of a
-    # word's statistic thus depends only on its set of placed values `used`
-    # (bit v - 1 marks value v) and its last value, so all prefixes sharing
-    # that state are extended together, one layer per depth:
-    # layer[used][r] is the histogram of the prefixes that place exactly
-    # `used` and end at its value of 0-based rank r, packed w bits per
-    # coefficient so that multiplying by x is a shift.  A state holds at most
-    # E_n prefixes (the arrangements of its values), so no coefficient
-    # carries into the next.
+    # each in 0..n-1, so the threshold lists okq[c] (does count c meet
+    # quadrant q's requirement?) decide whether the position matches.  Each
+    # depth's steps are (v, bit of v, marks) in sweep order, marks[c2] being
+    # that match.  An unreachable (v, c2) has c1 or c4 negative and reads ok1
+    # or ok4 from the end, but marks[c2] is only read with c2 the true count
+    # above v, where all four counts are in range.  The rest of a word's
+    # statistic thus depends only on its set of placed values `used` (bit
+    # v - 1 marks value v) and its last value, so all prefixes sharing that
+    # state are extended together, one layer per depth: layer[used][r] is
+    # the histogram of the prefixes that place exactly `used` and end at its
+    # value of 0-based rank r, packed w bits per coefficient so that
+    # multiplying by x is a shift.  A state holds at most E_n prefixes (the
+    # arrangements of its values), so no coefficient carries into the next.
     n = length
     w = zigzag_numbers(n)[n].bit_length()
+    ok1, ok2, ok3, ok4 = (
+        [c == 0 if req is None else c >= req for c in range(n)] for req in spec.requirements
+    )
     layer: dict[int, list[int]] = {0: []}
     for d in range(n):
-        row = [
-            [int(spec.accepts((n - v - c2, c2, d - c2, v - 1 - d + c2))) for c2 in range(d + 1)]
-            for v in range(n + 1)
-        ]
         # Sweep v so that acc has passed exactly the values v may follow.
         rising = cls.rises_into(d)
-        values = range(1, n + 1) if rising else range(n, 0, -1)
+        steps = [
+            (v, 1 << (v - 1), [
+                ok1[n - v - c2] and ok2[c2] and ok3[d - c2] and ok4[v - 1 - d + c2]
+                for c2 in range(d + 1)
+            ])
+            for v in (range(1, n + 1) if rising else range(n, 0, -1))
+        ]
         grown: dict[int, list[int]] = {}
         while layer:  # popitem frees the old layer as the new one fills
             used, ends = layer.popitem()
             members = iter(ends) if rising else reversed(ends)
             acc = 0 if used else 1  # any value may open the word
-            for v in values:
-                bit = 1 << (v - 1)
+            for v, bit, marks in steps:
                 if used & bit:
                     acc += next(members)
                 elif acc:
@@ -205,7 +213,7 @@ def _dist_brute_incremental(length: int, cls: AlternatingClass, spec: QuadrantSp
                         slot = grown[succ] = [0] * (d + 1)
                     c2 = (used >> v).bit_count()
                     # d - c2 placed values lie below v: its rank in succ
-                    slot[d - c2] = acc << w if row[v][c2] else acc
+                    slot[d - c2] = acc << w if marks[c2] else acc
         layer = grown
     (ends,) = layer.values()
     packed, mask = sum(ends), (1 << w) - 1

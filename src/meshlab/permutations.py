@@ -95,8 +95,9 @@ class QuadrantSpec:
 
     def __post_init__(self) -> None:
         for req in self.requirements:
-            if req is not None and (not isinstance(req, int) or req < 0):
-                raise ValueError(f"quadrant requirement must be None or >= 0, got {req!r}")
+            # a bool is an int: MMP(True,0,0,0) would equal MMP(1,0,0,0) yet print otherwise
+            if req is not None and (isinstance(req, bool) or not isinstance(req, int) or req < 0):
+                raise ValueError(f"quadrant requirement must be None or an int >= 0, got {req!r}")
 
     @property
     def requirements(self) -> tuple[int | None, ...]:

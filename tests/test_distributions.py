@@ -111,9 +111,11 @@ def test_incremental_engine_matches_reference(length, cls, reqs):
     assert_incremental_matches_reference(length, cls, QuadrantSpec(*reqs))
 
 
-@pytest.mark.parametrize("length", [0, 1, 2])
+@pytest.mark.parametrize("length", [0, 1, 2, 4, 5])
 def test_incremental_engine_on_short_words(length):
-    entries = (None, 0, 1, 2, 3)
+    # 9 exceeds every quadrant count, so each quadrant runs its "empty",
+    # "at least k" and "never met" threshold entries
+    entries = (None, 0, 1, 2, 9)
     for reqs in itertools.product(entries, repeat=4):
         for cls in (UP_DOWN, DOWN_UP):
             assert_incremental_matches_reference(length, cls, QuadrantSpec(*reqs))
@@ -359,6 +361,31 @@ def test_exact_results_at_benchmark_scale_are_pinned():
     texts["closed-forms"] = json.dumps(closed_form_series_check(40), sort_keys=True)
     digests = {key: hashlib.sha256(text.encode()).hexdigest() for key, text in texts.items()}
     assert digests == SERIES_80_DIGESTS
+
+
+# sha256 of repr([dist_brute(L, cls, spec).coeffs for L in 1..12]), as the
+# default engine printed them when it called spec.accepts for every entry
+ORACLE_12_DIGESTS = {
+    "MMP(1,0,0,0)-ud": "ea85c14d2b6bff569cae438e559a6be4b1f8c82cc1326aea1c93c95224f00c77",
+    "MMP(1,0,0,0)-du": "612bff6ee8ffbfed6060434d1be035b59c2231251af389a9483918452f2a05e9",
+    "MMP(1,0,e,0)-ud": "987bf51f88d0dc9dd128e4a788d38ab44e8e4beea75c1aebda2dc9ea1016c50f",
+    "MMP(1,0,e,0)-du": "e33f076c1fd449dc960e3f3a73119611eafe30b172c304cefd0cac3cd07ad893",
+    "MMP(e,2,0,1)-ud": "b96debf2bdbf6255a58b9501007b6f243aa35e0e15ea15c750b9ff216f99487d",
+    "MMP(e,2,0,1)-du": "361097c0d5d837ad27282048cbd112975e48ea469c5bdf301a460bcc35ee97cc",
+    "MMP(2,e,1,0)-ud": "c891b2f6309a79ad1a4fbfeaf961d6406d943ce34071db75a59cc92fb92c55d9",
+    "MMP(2,e,1,0)-du": "b5b5634500ea0fb0835a77ae89d2d5829ccd242fd33d5977b64dc7e57ba5b0ab",
+}
+
+
+def test_oracle_at_benchmark_scale_is_pinned():
+    specs = (MMP_Q1, QuadrantSpec(1, 0, None, 0), QuadrantSpec(None, 2, 0, 1),
+             QuadrantSpec(2, None, 1, 0))
+    digests = {}
+    for spec in specs:
+        for cls in (UP_DOWN, DOWN_UP):
+            text = repr([dist_brute(length, cls, spec).coeffs for length in range(1, 13)])
+            digests[f"{spec}-{cls.value}"] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == ORACLE_12_DIGESTS
 
 
 def test_headline_theorems_against_the_oracle_past_length_twelve():

@@ -98,6 +98,12 @@ def test_mmp_count_examples():
 def test_quadrant_spec_validation():
     with pytest.raises(ValueError):
         QuadrantSpec(-1, 0, 0, 0)
+    # a bool would equal and hash like its int but print as True/False
+    for reqs in ((True, 0, False, 0), (1, 0, 0, False), (None, True, 0, 0)):
+        with pytest.raises(ValueError):
+            QuadrantSpec(*reqs)
+    with pytest.raises(ValueError):
+        QuadrantSpec(1.0, 0, 0, 0)
 
 
 # --- reverse / complement --------------------------------------------------
