@@ -22,7 +22,6 @@ special entry "empty" (spelled None here) demands an empty quadrant.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -76,28 +75,49 @@ def quadrant_counts(perm: Sequence[int], i: int) -> tuple[int, int, int, int]:
     return (c1, c2, c3, c4)
 
 
-@dataclass(frozen=True)
 class QuadrantSpec:
     """
     The four quadrant requirements of MMP(a, b, c, d).
 
     Each field is either a nonnegative integer k ("at least k points"; 0 means
-    no condition) or None ("the quadrant must be empty").
+    no condition) or None ("the quadrant must be empty").  A spec is an
+    immutable value: it compares and hashes as its requirements tuple.
 
     >>> str(QuadrantSpec(1, 0, None, 0))
     'MMP(1,0,e,0)'
+    >>> QuadrantSpec(1, 0, None, 0)
+    QuadrantSpec(q1=1, q2=0, q3=None, q4=0)
     """
 
-    q1: int | None
-    q2: int | None
-    q3: int | None
-    q4: int | None
+    __slots__ = __match_args__ = ("q1", "q2", "q3", "q4")
 
-    def __post_init__(self) -> None:
-        for req in self.requirements:
+    def __init__(self, q1: int | None, q2: int | None, q3: int | None, q4: int | None) -> None:
+        for name, req in zip(self.__slots__, (q1, q2, q3, q4)):
             # a bool is an int: MMP(True,0,0,0) would equal MMP(1,0,0,0) yet print otherwise
             if req is not None and (isinstance(req, bool) or not isinstance(req, int) or req < 0):
                 raise ValueError(f"quadrant requirement must be None or an int >= 0, got {req!r}")
+            object.__setattr__(self, name, req)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return (QuadrantSpec, self.requirements)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.requirements == other.requirements
+
+    def __hash__(self) -> int:
+        return hash(self.requirements)
+
+    def __repr__(self) -> str:
+        q1, q2, q3, q4 = self.requirements
+        return f"QuadrantSpec(q1={q1!r}, q2={q2!r}, q3={q3!r}, q4={q4!r})"
 
     @property
     def requirements(self) -> tuple[int | None, ...]:

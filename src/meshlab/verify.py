@@ -12,7 +12,6 @@ strings (see records), so repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .algebra import Poly, zigzag_numbers
@@ -50,10 +49,10 @@ def is_adjudication(record: dict) -> bool:
     return record["check"] in ADJUDICATION_CHECKS
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    records: list[dict] = field(default_factory=list)
+    def __init__(self, name: str, records: list[dict] | None = None) -> None:
+        self.name = name
+        self.records = [] if records is None else records
 
     @property
     def passed(self) -> bool:

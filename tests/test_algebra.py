@@ -23,9 +23,14 @@ from meshlab.permutations import is_up_down
 
 X = Poly.x()
 
-rationals = st.fractions(
-    min_value=-4, max_value=4, max_denominator=6
-)
+# Exactly the 97 values st.fractions(-4, 4, max_denominator=6) draws: n/d with
+# d <= 6.  sampled_from shrinks toward earlier entries, so they are listed
+# simplest first (0, 1, -1, 1/2, -1/2, ...); picking from a list costs a
+# fraction of building each Fraction draw by draw.
+rationals = st.sampled_from(sorted(
+    {Fraction(n, d) for d in range(1, 7) for n in range(-4 * d, 4 * d + 1)},
+    key=lambda v: (abs(v.numerator), v.denominator, v < 0),
+))
 
 
 def polys(max_degree: int = 4):
@@ -326,6 +331,13 @@ def test_ode_underdefined_inputs_error():
         solve_linear_ode(
             tan_series(2), EgfSeries.constant(Poly.zero(), 2), Poly.one(), 9
         )
+    # exactly one order short, in f or in g, is refused before any indexing
+    order = 6
+    full, short = tan_series(order - 1), tan_series(order - 2)
+    for f, g in ((short, full), (full, short)):
+        with pytest.raises(ValueError, match="through order 5"):
+            solve_linear_ode(f, g, Poly.one(), order)
+    assert solve_linear_ode(full, full, Poly.one(), order).order == order
 
 
 # --- interpolation ---------------------------------------------------------

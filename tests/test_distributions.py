@@ -242,6 +242,48 @@ def test_import_loads_no_numpy():
     assert proc.stdout.strip() == "False"
 
 
+_IMPORT_ADDS = (
+    "import sys; before = set(sys.modules); import {}; "
+    "print(' '.join(sorted(set(sys.modules) - before)))"
+)
+
+
+@pytest.mark.parametrize("module,absent", [
+    ("meshlab", {"dataclasses", "meshlab.coeff_laws", "meshlab.reference"}),
+    ("meshlab.cli", {"dataclasses"}),
+])
+def test_import_cold_start_stays_lean(module, absent):
+    # diff sys.modules around the import, so what site loads cannot count
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_ADDS.format(module)],
+        capture_output=True, text=True, check=True,
+    )
+    added = set(proc.stdout.split())
+    assert module in added
+    assert not added & absent, sorted(added & absent)
+
+
+def test_coeff_law_names_resolve_on_first_use():
+    import meshlab
+    import meshlab.coeff_laws as laws
+
+    lazy = (
+        "double_factorial", "falling_factorial", "level_set", "level_set_brute",
+        "p_value", "p_values", "q_value", "q_values",
+        "r_value", "r_values", "s_value", "s_values",
+    )
+    for name in lazy:
+        assert getattr(meshlab, name) is getattr(laws, name), name
+        assert name in vars(meshlab)
+    from meshlab import level_set, s_values
+
+    assert level_set is laws.level_set and s_values is laws.s_values
+    with pytest.raises(AttributeError, match="no_such_name"):
+        meshlab.no_such_name
+    with pytest.raises(ImportError):
+        from meshlab import no_such_name  # noqa: F401
+
+
 def test_unknown_engine():
     for engine in ("quantum", "auto", "compiled"):
         with pytest.raises(ValueError):
@@ -313,6 +355,21 @@ def test_sec_powers():
     s = sec_t_power_of_x(4)
     assert s.coefficient(0) == Poly.one()
     assert s.coefficient(2) == Poly([0, 1])
+
+
+def test_sec_power_lowest_orders():
+    # order 0 is the constant 1 alone; from order 1 on the ODE route runs
+    for multiplier in (Poly([1]), Poly([-1]), Poly([1, 1])):
+        assert sec_xt_power(multiplier, 0).coeffs == (Poly.one(),)
+        assert sec_xt_power(multiplier, 1).coeffs == (Poly.one(), Poly.zero())
+        assert sec_xt_power(multiplier, 2).coefficient(2) == multiplier * Poly([0, 1])
+
+
+def test_closed_form_series_check_lowest_order():
+    records = closed_form_series_check(2)
+    assert records and all(r["verdict"] == "pass" for r in records if r["check"] == "series-closed-form")
+    with pytest.raises(ValueError, match="order >= 2"):
+        closed_form_series_check(1)
 
 
 def _all_int(polys) -> bool:

@@ -1,5 +1,7 @@
+import copy
 import doctest
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
@@ -104,6 +106,48 @@ def test_quadrant_spec_validation():
             QuadrantSpec(*reqs)
     with pytest.raises(ValueError):
         QuadrantSpec(1.0, 0, 0, 0)
+
+
+def test_quadrant_spec_value_contract():
+    spec = QuadrantSpec(1, 0, None, 0)
+    assert repr(spec) == "QuadrantSpec(q1=1, q2=0, q3=None, q4=0)"
+    assert str(spec) == "MMP(1,0,e,0)"
+    assert QuadrantSpec(q1=1, q2=0, q3=None, q4=0) == spec
+    assert QuadrantSpec(1, 0, q3=None, q4=0).requirements == (1, 0, None, 0)
+    assert spec != QuadrantSpec(1, 0, 0, 0)
+    # equal specs hash alike, and the hash is the requirements tuple's, so
+    # set and dict order is that of the tuples
+    assert hash(spec) == hash(QuadrantSpec(1, 0, None, 0)) == hash(spec.requirements)
+    assert spec != (1, 0, None, 0)
+    assert spec.__eq__((1, 0, None, 0)) is NotImplemented
+    assert len({spec, QuadrantSpec(1, 0, None, 0), Q1}) == 2
+    with pytest.raises(ValueError, match=r"must be None or an int >= 0, got True"):
+        QuadrantSpec(True, 0, 0, 0)
+    with pytest.raises(TypeError):
+        QuadrantSpec(1, 0, 0)
+
+
+def test_quadrant_spec_is_frozen():
+    spec = QuadrantSpec(1, 0, None, 0)
+    with pytest.raises(AttributeError):
+        spec.q1 = 2
+    with pytest.raises(AttributeError):
+        del spec.q4
+    with pytest.raises(AttributeError):
+        spec.extra = 1
+    assert spec.requirements == (1, 0, None, 0)
+
+
+def test_quadrant_spec_copies_and_pickles():
+    spec = QuadrantSpec(2, None, 0, 1)
+    for clone in (
+        copy.copy(spec),
+        copy.deepcopy(spec),
+        pickle.loads(pickle.dumps(spec)),
+    ):
+        assert type(clone) is QuadrantSpec
+        assert clone == spec and hash(clone) == hash(spec)
+        assert repr(clone) == repr(spec)
 
 
 # --- reverse / complement --------------------------------------------------
