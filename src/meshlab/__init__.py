@@ -9,7 +9,6 @@ from .algebra import (
     Poly,
     fit_polynomial,
     sec_series,
-    secant_number,
     solve_linear_ode,
     tan_series,
     tangent_number,

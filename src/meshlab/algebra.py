@@ -238,12 +238,6 @@ class EgfSeries:
 
     __rmul__ = __mul__
 
-    def differentiate(self) -> EgfSeries:
-        """d/dt shifts coefficients left; the order drops by one."""
-        if self.order == 0:
-            raise ValueError("cannot differentiate an order-0 series")
-        return EgfSeries(self.coeffs[1:])
-
     def integrate(self, constant: Poly | Rational = 0) -> EgfSeries:
         """
         Antiderivative in t with the given value at t = 0; the order rises by
@@ -252,6 +246,8 @@ class EgfSeries:
         return EgfSeries((_coerce(constant),) + self.coeffs)
 
     def truncate(self, order: int) -> EgfSeries:
+        if order < 0:
+            raise ValueError(f"truncation order must be nonnegative, got {order}")
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         return EgfSeries(self.coeffs[: order + 1])
@@ -324,13 +320,6 @@ def tangent_number(m: int) -> int:
     """B_{m}(1) for odd m: the number of up-down permutations of odd length m."""
     if m % 2 == 0 or m < 1:
         raise ValueError(f"tangent numbers live at odd indices, got {m}")
-    return zigzag_numbers(m)[m]
-
-
-def secant_number(m: int) -> int:
-    """A_{m}(1) for even m: the number of up-down permutations of even length m."""
-    if m % 2 == 1 or m < 0:
-        raise ValueError(f"secant numbers live at even indices, got {m}")
     return zigzag_numbers(m)[m]
 
 

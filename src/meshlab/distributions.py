@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import os
-from functools import cache
+from functools import cache, wraps
 from math import comb
 
 from .algebra import (
@@ -274,7 +274,9 @@ def dist_brute(
 #     C' = sec(xt) B         C(0) = 1
 #     D' = sec(xt) A         D(0) = 0
 # A and B go through the term-by-term solver; C and D are a product and an
-# antiderivative of already-known series.
+# antiderivative of already-known series.  A truncated solution's first m + 1
+# coefficients do not depend on its order, so each series is solved once per
+# key at the highest order asked and lower orders are truncations of it.
 # ---------------------------------------------------------------------------
 
 
@@ -282,8 +284,28 @@ def _zero_series(order: int) -> EgfSeries:
     return EgfSeries.constant(Poly.zero(), order)
 
 
-@cache
-def egf_family(family: Family, order: int) -> EgfSeries:
+def _longest_solve(solve):
+    """
+    Keep per key (the arguments before the order) the longest series solve
+    has returned, even if a shorter solve ends after it; answer orders 0 ..
+    its order by truncating it, and any other, negative too, by calling solve.
+    """
+    longest: dict[tuple, EgfSeries] = {}
+
+    @wraps(solve)
+    def solved(*args):
+        key, order = args[:-1], args[-1]
+        if (have := longest.get(key)) is not None and 0 <= order <= have.order:
+            return have.truncate(order)
+        series = solve(*args)
+        longest[key] = max(longest.get(key, series), series, key=lambda s: s.order)
+        return series
+
+    return solved
+
+
+@_longest_solve
+def egf_family(family: Family, order: int, /) -> EgfSeries:
     """
     Truncated series for a family; the t^m/m! coefficient equals the family
     polynomial at the matching length and is zero at the opposite parity.
@@ -307,8 +329,8 @@ def egf_family(family: Family, order: int) -> EgfSeries:
     return rhs.integrate(constant=Poly.zero())
 
 
-@cache
-def sec_xt_power(multiplier: Poly, order: int) -> EgfSeries:
+@_longest_solve
+def sec_xt_power(multiplier: Poly, order: int, /) -> EgfSeries:
     """
     sec(xt)^alpha as the solution of Y' = multiplier * tan(xt) * Y, Y(0) = 1,
     where multiplier = alpha * x.  The powers used here (alpha in {1/x, -1/x,
@@ -322,8 +344,8 @@ def sec_xt_power(multiplier: Poly, order: int) -> EgfSeries:
     return solve_linear_ode(f, _zero_series(order - 1), Poly.one(), order)
 
 
-@cache
-def sec_t_power_of_x(order: int) -> EgfSeries:
+@_longest_solve
+def sec_t_power_of_x(order: int, /) -> EgfSeries:
     """
     (sec t)^x: the solution of Y' = x tan(t) Y, Y(0) = 1.  Unlike
     sec_xt_power, the tangent argument here carries no x; its coefficients

@@ -13,7 +13,6 @@ from meshlab.algebra import (
     Poly,
     fit_polynomial,
     sec_series,
-    secant_number,
     solve_linear_ode,
     tan_series,
     tangent_number,
@@ -145,11 +144,10 @@ def test_zigzag_against_direct_filter():
 
 def test_tangent_secant_accessors():
     assert [tangent_number(m) for m in (1, 3, 5, 7)] == [1, 2, 16, 272]
-    assert [secant_number(m) for m in (0, 2, 4, 6)] == [1, 1, 5, 61]
+    # the secant numbers are the even-indexed zigzag numbers
+    assert zigzag_numbers(6)[::2] == [1, 1, 5, 61]
     with pytest.raises(ValueError):
         tangent_number(2)
-    with pytest.raises(ValueError):
-        secant_number(3)
 
 
 # --- tan / sec series ------------------------------------------------------
@@ -208,20 +206,38 @@ def test_egf_order_mismatch_is_an_error():
         sec_series(4) + sec_series(3)
 
 
+def _derivative(series: EgfSeries) -> EgfSeries:
+    """d/dt of an EGF shifts its coefficients left; the order drops by one."""
+    return EgfSeries(series.coeffs[1:])
+
+
 def test_differentiate_integrate():
     tan = tan_series(9)
-    assert tan.integrate().differentiate() == tan
+    assert _derivative(tan.integrate()) == tan
     assert sec_series(6).integrate().coefficient(1) == Poly.one()
-    assert tan.differentiate().coefficient(0) == Poly([0, 1])
+    assert _derivative(tan).coefficient(0) == Poly([0, 1])
 
 
 def test_integrate_orders():
     s = sec_series(5)
     assert s.integrate().order == 6
-    assert s.differentiate().order == 4
+    assert _derivative(s).order == 4
     assert s.truncate(3).order == 3
     with pytest.raises(ValueError):
         s.truncate(9)
+
+
+def test_truncate_keeps_orders_zero_through_its_own():
+    s = sec_series(5)
+    assert s.truncate(0).coeffs == (Poly.one(),)
+    assert s.truncate(4).coeffs == s.coeffs[:5]
+    assert s.truncate(5) == s
+    with pytest.raises(ValueError, match="cannot extend order 5 to 6"):
+        s.truncate(6)
+    # a negative order must not wrap around to a slice from the end
+    for order in (-1, -2, -6, -7):
+        with pytest.raises(ValueError, match=f"must be nonnegative, got {order}"):
+            s.truncate(order)
 
 
 # --- linear ODE solver -----------------------------------------------------
@@ -262,7 +278,7 @@ def test_ode_residual_vanishes(f_coeffs, g_coeffs, y0):
     f = EgfSeries(f_coeffs)
     g = EgfSeries(g_coeffs)
     y = solve_linear_ode(f, g, y0, order)
-    residual = y.differentiate() - (f * y.truncate(order - 1) + g)
+    residual = _derivative(y) - (f * y.truncate(order - 1) + g)
     assert residual == EgfSeries.constant(Poly.zero(), order - 1)
     assert y.coefficient(0) == y0
 

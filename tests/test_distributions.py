@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import json
 import subprocess
@@ -370,6 +371,158 @@ def test_closed_form_series_check_lowest_order():
     assert records and all(r["verdict"] == "pass" for r in records if r["check"] == "series-closed-form")
     with pytest.raises(ValueError, match="order >= 2"):
         closed_form_series_check(1)
+
+
+# --- one solve per series key ----------------------------------------------
+
+_SERIES_NAMES = ("egf_family", "sec_xt_power", "sec_t_power_of_x")
+# the undecorated solves: each call solves from its own arguments
+_RAW = {name: getattr(meshlab.distributions, name).__wrapped__ for name in _SERIES_NAMES}
+_SERIES_KEYS = [("egf_family", (family,)) for family in Family] + [
+    ("sec_xt_power", (Poly(m),)) for m in ([1], [-1], [1, 1])
+] + [("sec_t_power_of_x", ())]
+
+
+def _stored_series(series) -> list:
+    return [[(type(c), c) for c in p.coeffs] for p in series.coeffs]
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """
+    Give the three series functions empty stores, as in a new process, and
+    count the solves behind them: calls[name] lists the args of each one.
+    """
+    calls = {name: [] for name in _SERIES_NAMES}
+    for name, raw in _RAW.items():
+
+        def counted(*args, raw=raw, log=calls[name]):
+            log.append(args)
+            return raw(*args)
+
+        monkeypatch.setattr(
+            meshlab.distributions, name, meshlab.distributions._longest_solve(counted)
+        )
+    return calls
+
+
+def _cold(name, key, order):
+    """The series solved from nothing: every inner series solved afresh too."""
+    saved = {n: getattr(meshlab.distributions, n) for n in _SERIES_NAMES}
+    vars(meshlab.distributions).update(_RAW)
+    try:
+        return _RAW[name](*key, order)
+    finally:
+        vars(meshlab.distributions).update(saved)
+
+
+@pytest.mark.parametrize("name,key", _SERIES_KEYS, ids=lambda v: str(v))
+@pytest.mark.parametrize("ascending", [False, True], ids=["longest-first", "ascending"])
+def test_series_store_answers_every_order_as_a_cold_solve(solve_calls, name, key, ascending):
+    top = 24
+    cold = [_stored_series(_cold(name, key, m)) for m in range(top + 1)]
+    fn = getattr(meshlab.distributions, name)
+
+    def solved_orders():  # C and D also log their inner B and A solves
+        return [args[-1] for args in solve_calls[name] if args[:-1] == key]
+
+    if not ascending:
+        assert _stored_series(fn(*key, top)) == cold[top]
+    for m in range(top + 1):
+        assert _stored_series(fn(*key, m)) == cold[m], m
+    # each order above the longest so far is one solve, any other none
+    solved = list(range(top + 1)) if ascending else [top]
+    assert solved_orders() == solved
+    for m in (top, 0, top // 2):
+        assert _stored_series(fn(*key, m)) == cold[m]
+    assert solved_orders() == solved
+    assert _stored_series(fn(*key, top + 1)) == _stored_series(_cold(name, key, top + 1))
+    assert solved_orders() == solved + [top + 1]
+
+
+# a negative order raises what the solve itself raises: egf_family checks its
+# order, the sec powers fail in zigzag_numbers when they size the tangent series
+_NEGATIVE_ORDER_ERRORS = {
+    "egf_family": "order must be nonnegative",
+    "sec_xt_power": "n must be nonnegative",
+    "sec_t_power_of_x": "n must be nonnegative",
+}
+
+
+@pytest.mark.parametrize("name,key", _SERIES_KEYS, ids=lambda v: str(v))
+def test_series_negative_order_raises_before_and_after_a_solve(solve_calls, name, key):
+    fn = getattr(meshlab.distributions, name)
+    message = f"^{_NEGATIVE_ORDER_ERRORS[name]}$"
+    for order in (-1, -2, -7):
+        with pytest.raises(ValueError, match=message) as err:
+            fn(*key, order)
+        assert type(err.value) is ValueError
+    fn(*key, 6)
+    for order in (-1, -2, -6, -7):
+        with pytest.raises(ValueError, match=message) as err:
+            fn(*key, order)
+        assert type(err.value) is ValueError
+    assert len(fn(*key, 6).coeffs) == 7
+
+
+def test_series_store_keeps_a_longer_solve_that_ends_first():
+    # two overlapping solves of one key, as two threads can make: the order-9
+    # solve ends inside the order-5 one, and the order-5 result must not
+    # replace it in the store
+    solves = []
+
+    def solve(order):
+        solves.append(order)
+        if order == 5:
+            stored(9)
+        return _RAW["sec_t_power_of_x"](order)
+
+    stored = meshlab.distributions._longest_solve(solve)
+    assert len(stored(5).coeffs) == 6
+    assert [len(stored(m).coeffs) for m in (9, 5, 0)] == [10, 6, 1]
+    assert solves == [5, 9]
+
+
+def test_series_functions_show_positional_only_signatures():
+    # the store takes *args, so the shown signature must not offer keywords
+    for name in _SERIES_NAMES:
+        params = inspect.signature(getattr(meshlab.distributions, name)).parameters
+        assert {p.kind for p in params.values()} == {inspect.Parameter.POSITIONAL_ONLY}
+    with pytest.raises(TypeError):
+        egf_family(Family.A, order=3)
+
+
+_COUNT_SOLVES = """
+import io
+from contextlib import redirect_stdout
+import meshlab.distributions as dist
+from meshlab import cli
+orders = []
+solve = dist.solve_linear_ode
+def counted(f, g, y0, order):
+    orders.append(order)
+    return solve(f, g, y0, order)
+dist.solve_linear_ode = counted
+for family in dist.Family:
+    dist.egf_family(family, 80)
+dist.closed_form_series_check(40)
+print(sorted(orders))
+dist.sec_t_power_of_x(80)
+for gf in ("A", "B", "C", "D", "secx", "tanx", "sec^x"):
+    with redirect_stdout(io.StringIO()):
+        cli.main(["series", "--gf", gf, "--order", "40"])
+print(sorted(orders))
+"""
+
+
+def test_exact_series_pass_solves_each_series_once():
+    # the benchmark's exact-series calls in a new process: each of A, B,
+    # sec(xt)^{1/x}, sec(xt)^{-1/x}, sec(xt)^{1+1/x} and (sec t)^x is solved
+    # once, at the highest order asked, and every lower order is a truncation
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_SOLVES], capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.splitlines() == ["[39, 39, 40, 80, 80]", "[39, 39, 40, 80, 80, 80]"]
 
 
 def _all_int(polys) -> bool:
