@@ -8,7 +8,7 @@ unimodal (conjecture scan).  Exit codes: 0 success, 1 verification failure,
 
 Output formats: plain (default), csv, json and latex.  The polynomial
 renderer factors out the smallest power of x, the same presentation the
-published tables use, and parse_poly reads that form back.
+published tables use.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .algebra import Poly, Rational, sec_series, tan_series
@@ -50,7 +49,7 @@ def max_series_order() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial rendering and parsing.
+# Polynomial rendering.
 # ---------------------------------------------------------------------------
 
 
@@ -102,69 +101,6 @@ def format_poly_latex(poly: Poly) -> str:
     """Same factoring, TeX spelling: exponents braced, \\left( ... \\right)."""
     text = re.sub(r"x\^(\d+)", r"x^{\1}", format_poly(poly))
     return text.replace("(", r"\left(").replace(")", r"\right)")
-
-
-_MONO_FACTOR = re.compile(r"^(\d*)(x)(?:\^(\d+))?\((.+)\)$")
-_TERM = re.compile(r"^([+-]?)(?:\((-?\d+)/(\d*[1-9]\d*)\)|(\d+))?(x(?:\^(\d+))?)?$")
-
-
-def _parse_sum(text: str) -> Poly:
-    # split into signed terms at top level; coefficients may carry (a/b) parens, b != 0
-    pieces: list[str] = []
-    depth = 0
-    current = ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0 and current not in ("", "+", "-"):
-            pieces.append(current)
-            current = ch
-        else:
-            current += ch
-    pieces.append(current)
-    total = Poly.zero()
-    for piece in pieces:
-        m = _TERM.match(piece)
-        if not m or piece in ("", "+", "-"):
-            raise ValueError(f"cannot parse polynomial term {piece!r}")
-        sign, num, den, integer, xpart, power = m.groups()
-        if num is not None:
-            coeff = Fraction(int(num), int(den))
-        elif integer is not None:
-            coeff = Fraction(int(integer))
-        elif xpart:
-            coeff = Fraction(1)
-        else:
-            raise ValueError(f"cannot parse polynomial term {piece!r}")
-        if sign == "-":
-            coeff = -coeff
-        exponent = 0
-        if xpart:
-            exponent = int(power) if power else 1
-        total = total + Poly.monomial(coeff, exponent)
-    return total
-
-
-def parse_poly(text: str) -> Poly:
-    """
-    Inverse of format_poly.
-
-    >>> parse_poly("x^2(3+2x)") == Poly([0, 0, 3, 2])
-    True
-    >>> parse_poly("0").is_zero()
-    True
-    """
-    text = text.strip().replace(" ", "")
-    if not text:
-        raise ValueError("empty polynomial text")
-    m = _MONO_FACTOR.match(text)
-    if m:
-        coeff, _, power, inner = m.groups()
-        factor = Poly.monomial(int(coeff or 1), int(power or 1))
-        return factor * _parse_sum(inner)
-    return _parse_sum(text)
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,18 @@ top term (the highest power in a row of length L >= 2), held in _LEVELS:
 
 p and q satisfy double-sum recursions seeded by p_k(k+1) = T_{2k+1}/(2k+1)!!
 and q_k(k+1) = T_{2k+1}/(2k)!! (T the tangent numbers); r and s are finite
-sums consuming q and p values.  Two published versions of the q recursion
-disagree with each other, so both are implemented behind a variant flag and
-an adjudication records which one the oracle confirms.
+sums consuming q and p values.  The double sums telescope in n, so p and q
+are running sums, kept by (k, n) for the life of the process: a row up to n
+costs O(k n) terms.  Two published versions of the q recursion disagree with
+each other, so both are implemented behind a variant flag and an adjudication
+records which one the oracle confirms.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .algebra import Poly, fit_polynomial, tangent_number, zigzag_numbers
 from .distributions import MMP_Q1, Family, dist_brute, family_polynomial
@@ -55,9 +57,11 @@ def double_factorial(m: int) -> int:
 def falling_factorial(x, j: int):
     """
     (x) falling j = x (x-1) ... (x-j+1), with the empty product equal to 1.
-    Works for rationals and for Poly arguments alike, so ratio polynomials
-    can be assembled symbolically.
+    Works for ints, rationals and Poly arguments alike, so ratio polynomials
+    can be assembled symbolically; an int argument gives an int.
 
+    >>> falling_factorial(6, 3)
+    120
     >>> falling_factorial(Fraction(5), 2)
     Fraction(20, 1)
     >>> falling_factorial(Poly.x(), 0)
@@ -76,7 +80,33 @@ def falling_factorial(x, j: int):
 # ---------------------------------------------------------------------------
 
 
-@cache
+# p_k(n) and statement q_k(n) by (law, k, n), never by position, so a nested or
+# concurrent extension of one k stores equal values under equal keys.
+_RATIO_SUMS: dict[tuple, Fraction] = {}
+
+
+def _ratio_sum(law, k: int, n: int, seed_m: int, factor) -> Fraction:
+    """
+    T_{2k+1}/seed_m!! + sum_{t=k+2}^{n} sum_{j=1}^{k} T_{2j+1} factor(t, j)
+    / (2j+1)! * law(k-j, t-j-1), resumed from the highest stored n below.
+    """
+    top = n
+    while (acc := _RATIO_SUMS.get((law, k, top))) is None:
+        if top == k + 1:
+            acc = Fraction(tangent_number(2 * k + 1), double_factorial(seed_m))
+            break
+        top -= 1
+    for t in range(top + 1, n + 1):
+        for j in range(1, k + 1):
+            value = law(k - j, t - j - 1)
+            acc += Fraction(
+                tangent_number(2 * j + 1) * factor(t, j) * value.numerator,
+                factorial(2 * j + 1) * value.denominator,
+            )
+        _RATIO_SUMS[law, k, t] = acc
+    return acc
+
+
 def p_value(k: int, n: int) -> Fraction:
     """
     p_k(n) for n >= k + 1, from the double-sum recursion
@@ -85,7 +115,7 @@ def p_value(k: int, n: int) -> Fraction:
                + sum_{j=1}^{k} sum_{t=k+2}^{n}
                  T_{2j+1} 2^j (t-1)_falling_j / (2j+1)!  *  p_{k-j}(t-j-1)
 
-    with p_0 = 1.
+    with p_0 = 1, kept as a running sum: p_k(n) is p_k(n-1) plus the t = n terms.
 
     >>> [p_value(1, n) for n in (2, 3, 4)]
     [Fraction(2, 3), Fraction(2, 1), Fraction(4, 1)]
@@ -94,15 +124,11 @@ def p_value(k: int, n: int) -> Fraction:
         return Fraction(1)
     if n < k + 1:
         raise ValueError(f"p_{k} is defined for n >= {k + 1}")
-    acc = Fraction(tangent_number(2 * k + 1), double_factorial(2 * k + 1))
-    for j in range(1, k + 1):
-        coeff = Fraction(tangent_number(2 * j + 1) * 2**j, factorial(2 * j + 1))
-        for t in range(k + 2, n + 1):
-            acc += coeff * falling_factorial(Fraction(t - 1), j) * p_value(k - j, t - j - 1)
-    return acc
+    return _ratio_sum(
+        p_value, k, n, 2 * k + 1, lambda t, j: 2**j * falling_factorial(t - 1, j)
+    )
 
 
-@cache
 def q_value(k: int, n: int, variant: str = "statement") -> Fraction:
     """
     q_k(n) for n >= k + 1.  The "statement" variant uses
@@ -111,8 +137,10 @@ def q_value(k: int, n: int, variant: str = "statement") -> Fraction:
                + sum_{j=1}^{k} sum_{t=k+2}^{n}
                  T_{2j+1} prod_{s=0}^{j-1} (2t-1-2s) / (2j+1)!  *  q_{k-j}(t-j-1)
 
-    with q_0 = 1.  The "in-proof" variant keeps the derivation's literal
-    factor 2^j prod_{s=1}^{j-1} (2n-2s-1) instead; the two disagree, and the
+    with q_0 = 1, evaluated and kept as a running sum in n like p_value.  The
+    "in-proof" variant keeps the derivation's literal factor 2^j
+    prod_{s=1}^{j-1} (2n-2s-1) instead; it depends on n rather than t, so it
+    is summed afresh for each n (and cached).  The two disagree, and the
     adjudication below shows only the statement variant matches the oracle.
 
     >>> q_value(1, 2), q_value(1, 3)
@@ -124,24 +152,23 @@ def q_value(k: int, n: int, variant: str = "statement") -> Fraction:
         return Fraction(1)
     if n < k + 1:
         raise ValueError(f"q_{k} is defined for n >= {k + 1}")
+    if variant == "in-proof":
+        return _q_in_proof(k, n)
+    return _ratio_sum(
+        q_value, k, n, 2 * k, lambda t, j: prod(range(2 * t - 1, 2 * t - 1 - 2 * j, -2))
+    )
+
+
+@cache
+def _q_in_proof(k: int, n: int) -> Fraction:
     acc = Fraction(tangent_number(2 * k + 1), double_factorial(2 * k))
     for j in range(1, k + 1):
-        if variant == "statement":
-            for t in range(k + 2, n + 1):
-                prod = 1
-                for s in range(j):
-                    prod *= 2 * t - 1 - 2 * s
-                acc += (
-                    Fraction(tangent_number(2 * j + 1) * prod, factorial(2 * j + 1))
-                    * q_value(k - j, t - j - 1, variant)
-                )
-        else:
-            prod = 2**j
-            for s in range(1, j):
-                prod *= 2 * n - 2 * s - 1
-            coeff = Fraction(tangent_number(2 * j + 1) * prod, factorial(2 * j + 1))
-            for t in range(k + 2, n + 1):
-                acc += coeff * q_value(k - j, t - j - 1, variant)
+        factor = 2**j
+        for s in range(1, j):
+            factor *= 2 * n - 2 * s - 1
+        coeff = Fraction(tangent_number(2 * j + 1) * factor, factorial(2 * j + 1))
+        for t in range(k + 2, n + 1):
+            acc += coeff * q_value(k - j, t - j - 1, "in-proof")
     return acc
 
 

@@ -4,8 +4,10 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -19,7 +21,6 @@ from meshlab.cli import (
     format_poly_latex,
     main,
     parse_pattern,
-    parse_poly,
 )
 from meshlab.distributions import Family, family_polynomial
 from meshlab.permutations import QuadrantSpec
@@ -38,6 +39,62 @@ def test_module_doctests():
 # --- polynomial rendering ----------------------------------------------------
 
 
+_MONO_FACTOR = re.compile(r"^(\d*)(x)(?:\^(\d+))?\((.+)\)$")
+_TERM = re.compile(r"^([+-]?)(?:\((-?\d+)/(\d*[1-9]\d*)\)|(\d+))?(x(?:\^(\d+))?)?$")
+
+
+def _parse_sum(text: str) -> Poly:
+    # split into signed terms at top level; coefficients may carry (a/b) parens, b != 0
+    pieces: list[str] = []
+    depth = 0
+    current = ""
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch in "+-" and depth == 0 and current not in ("", "+", "-"):
+            pieces.append(current)
+            current = ch
+        else:
+            current += ch
+    pieces.append(current)
+    total = Poly.zero()
+    for piece in pieces:
+        m = _TERM.match(piece)
+        if not m or piece in ("", "+", "-"):
+            raise ValueError(f"cannot parse polynomial term {piece!r}")
+        sign, num, den, integer, xpart, power = m.groups()
+        if num is not None:
+            coeff = Fraction(int(num), int(den))
+        elif integer is not None:
+            coeff = Fraction(int(integer))
+        elif xpart:
+            coeff = Fraction(1)
+        else:
+            raise ValueError(f"cannot parse polynomial term {piece!r}")
+        if sign == "-":
+            coeff = -coeff
+        exponent = 0
+        if xpart:
+            exponent = int(power) if power else 1
+        total = total + Poly.monomial(coeff, exponent)
+    return total
+
+
+def parse_poly(text: str) -> Poly:
+    """Inverse of format_poly: the round-trip check of the rendered forms."""
+    text = text.strip().replace(" ", "")
+    if not text:
+        raise ValueError("empty polynomial text")
+    m = _MONO_FACTOR.match(text)
+    if m:
+        coeff, _, power, inner = m.groups()
+        factor = Poly.monomial(int(coeff or 1), int(power or 1))
+        return factor * _parse_sum(inner)
+    return _parse_sum(text)
+
+
 def test_format_poly_basic():
     assert format_poly(Poly()) == "0"
     assert format_poly(Poly([1])) == "1"
@@ -49,8 +106,6 @@ def test_format_poly_basic():
 
 
 def test_format_poly_fraction_coefficients():
-    from fractions import Fraction
-
     p = Poly([Fraction(2, 3), 1])
     assert format_poly(p) == "(2/3)+x"
     assert parse_poly(format_poly(p)) == p
@@ -64,6 +119,7 @@ def test_format_parse_roundtrip_on_family_rows(family):
 
 
 def test_parse_poly_forms():
+    assert parse_poly("x^2(3+2x)") == Poly([0, 0, 3, 2])
     assert parse_poly("16x^3(3+8x+6x^2)") == Poly([0, 0, 0, 48, 128, 96])
     assert parse_poly("x") == Poly([0, 1])
     assert parse_poly("0").is_zero()

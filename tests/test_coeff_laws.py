@@ -1,5 +1,10 @@
 import doctest
+import hashlib
+import sys
+import threading
 from fractions import Fraction
+from functools import cache, partial
+from math import factorial, perm
 
 import pytest
 
@@ -56,6 +61,10 @@ def test_double_factorial_values():
 def test_falling_factorial():
     assert falling_factorial(Fraction(6), 3) == 120
     assert falling_factorial(Fraction(6), 0) == 1
+    # plain ints stay ints: the ratio laws call it on int arguments
+    for x, j, expected in ((6, 3, 120), (6, 0, 1), (5, 5, 120), (4, 5, 0), (-2, 2, 6)):
+        value = falling_factorial(x, j)
+        assert type(value) is int and value == expected
     x = Poly.x()
     assert falling_factorial(x, 2) == Poly([0, -1, 1])
     assert falling_factorial(x, 0) == Poly.one()
@@ -186,6 +195,178 @@ def test_seed_identities():
     # spelled out for one k: p_3(4) = 272/105 and q_3(4) = 272/48
     assert p_value(3, 4) == Fraction(272, 105)
     assert q_value(3, 4) == Fraction(272, 48)
+
+
+# --- the running-sum store -----------------------------------------------------
+
+
+@pytest.fixture
+def fresh_sums(monkeypatch):
+    store = {}
+    monkeypatch.setattr(meshlab.coeff_laws, "_RATIO_SUMS", store)
+    return store
+
+
+def tangent(m):
+    return zigzag_numbers(m)[m]
+
+
+# The double sums of the p_value and q_value docstrings, summed afresh for each
+# n: the reference the library's running sums must equal.
+@cache
+def literal_p(k, n):
+    if k == 0:
+        return Fraction(1)
+    acc = Fraction(tangent(2 * k + 1), double_factorial(2 * k + 1))
+    for j in range(1, k + 1):
+        for t in range(k + 2, n + 1):
+            coeff = Fraction(tangent(2 * j + 1) * 2**j * perm(t - 1, j), factorial(2 * j + 1))
+            acc += coeff * literal_p(k - j, t - j - 1)
+    return acc
+
+
+@cache
+def literal_q(k, n):
+    if k == 0:
+        return Fraction(1)
+    acc = Fraction(tangent(2 * k + 1), double_factorial(2 * k))
+    for j in range(1, k + 1):
+        for t in range(k + 2, n + 1):
+            odd = 1
+            for s in range(j):
+                odd *= 2 * t - 1 - 2 * s
+            coeff = Fraction(tangent(2 * j + 1) * odd, factorial(2 * j + 1))
+            acc += coeff * literal_q(k - j, t - j - 1)
+    return acc
+
+
+# sha256 of repr([law(k, n) for k in 0..5 for n in k+1..30]), taken from the
+# double sums summed afresh for every n.
+RATIO_DIGESTS = {
+    "p": "0c61ead794c80a08fb5dc9178398799fec7a5001ccf41471a3a06a464f48b1a4",
+    "q": "8d54b734e5ff5242147b443295028694241a3a97368a5c1f2547270c682f6eec",
+    "q in-proof": "1cff97243137f0b502770beca80483c93f73a28c5dca5702dc299017d7bbf1ce",
+    "r": "58f0c02bcb27f2eb8d116ea17e9ee552b0106a36024c646ffed06e4a18d6a362",
+    "s": "6db5319e5fcdef6f28d1638f6f0c718148cb3a3746e943c940c5c261dc3fd647",
+}
+
+
+def test_ratio_values_are_pinned(fresh_sums):
+    laws = {
+        "p": p_value, "q": q_value, "q in-proof": partial(q_value, variant="in-proof"),
+        "r": r_value, "s": s_value,
+    }
+    for name, law in laws.items():
+        values = [law(k, n) for k in range(6) for n in range(k + 1, 31)]
+        assert hashlib.sha256(repr(values).encode()).hexdigest() == RATIO_DIGESTS[name], name
+
+
+@pytest.mark.parametrize("descending_first", [True, False])
+def test_running_sums_match_the_literal_double_sums(fresh_sums, descending_first):
+    requests = [(k, n) for n in range(2, 21) for k in range(1, 5) if n >= k + 1]
+    passes = (requests[::-1], requests) if descending_first else (requests, requests[::-1])
+    for order in passes:
+        for k, n in order:
+            assert p_value(k, n) == literal_p(k, n), (k, n)
+            assert q_value(k, n) == literal_q(k, n), (k, n)
+    assert set(fresh_sums) == {
+        (law, k, n) for law in (p_value, q_value) for k in range(1, 5) for n in range(k + 2, 21)
+    }
+
+
+@pytest.mark.parametrize(
+    "law, literal, name, trigger",
+    [
+        (p_value, literal_p, "falling_factorial", (4, 2)),
+        (q_value, literal_q, "prod", (range(9, 5, -2),)),
+    ],
+)
+def test_nested_extension_of_the_same_k(fresh_sums, monkeypatch, law, literal, name, trigger):
+    # While k = 2 is extended through t = 5, its j = 2 term asks for n = 9 of
+    # the same k.  A store indexed by position would put t = 5 after t = 9.
+    original = getattr(meshlab.coeff_laws, name)
+    nested = []
+
+    def term(*args):
+        if args == trigger and not nested:
+            nested.append(None)  # fire once: the nested extension calls term too
+            nested[0] = law(2, 9)
+        return original(*args)
+
+    monkeypatch.setattr(meshlab.coeff_laws, name, term)
+    assert law(2, 7) == literal(2, 7)
+    assert nested == [literal(2, 9)]
+    assert [law(2, n) for n in range(3, 13)] == [literal(2, n) for n in range(3, 13)]
+
+
+def test_threads_extending_the_same_rows_store_equal_values(fresh_sums):
+    # more threads than cores, switching often, half ascending and half
+    # descending through the same (k, n); a value stored under the wrong key
+    # or from a torn running sum would differ from the literal sum
+    requests = [(k, n) for n in range(2, 41) for k in range(1, 5) if n >= k + 1]
+    orders = [requests, requests[::-1]] * 3
+    errors = []
+
+    def work(order):
+        try:
+            for k, n in order:
+                if p_value(k, n) != literal_p(k, n) or q_value(k, n) != literal_q(k, n):
+                    errors.append((k, n))
+        except Exception as exc:  # reported below; a thread cannot fail the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(order,)) for order in orders]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    literal = {p_value: literal_p, q_value: literal_q}
+    assert len(fresh_sums) == 2 * (38 + 37 + 36 + 35)
+    for (law, k, n), value in fresh_sums.items():
+        assert value == literal[law](k, n), (law.__name__, k, n)
+
+
+def test_cold_long_row_recurses_only_in_k(fresh_sums):
+    # a row 1500 long would overflow the stack if each n recursed on n - 1
+    assert p_value(1, 1500) == literal_p(1, 1500) == Fraction(1500 * 1499, 3)
+    assert q_value(1, 1500) == literal_q(1, 1500)
+
+
+DOMAIN_ERRORS = [
+    (p_value, (2, 2), "p_2 is defined for n >= 3"),
+    (p_value, (3, -7), "p_3 is defined for n >= 4"),
+    (p_value, (-2, -5), "p_-2 is defined for n >= -1"),
+    (p_value, (-1, 3), "tangent numbers live at odd indices, got -1"),
+    (q_value, (1, 1), "q_1 is defined for n >= 2"),
+    (q_value, (1, 1, "in-proof"), "q_1 is defined for n >= 2"),
+    (q_value, (-1, 3), "tangent numbers live at odd indices, got -1"),
+    (q_value, (-3, 0, "in-proof"), "tangent numbers live at odd indices, got -5"),
+    (q_value, (1, 3, "folklore"), "unknown variant 'folklore'"),
+    (q_value, (0, 1, "folklore"), "unknown variant 'folklore'"),
+]
+
+
+def test_domain_errors_hold_before_and_after_the_store_fills(fresh_sums):
+    def check():
+        for law, args, message in DOMAIN_ERRORS:
+            with pytest.raises(ValueError) as info:
+                law(*args)
+            assert info.type is ValueError and str(info.value) == message, args
+        for value in (p_value(0, -4), q_value(0, -4), q_value(0, 0, "in-proof")):
+            assert type(value) is Fraction and value == 1
+
+    check()
+    for k in range(1, 5):
+        p_value(k, 20), q_value(k, 20), q_value(k, 9, "in-proof")
+    assert len(fresh_sums) == 2 * (18 + 17 + 16 + 15)
+    check()
 
 
 # --- the q recursion variants ---------------------------------------------
