@@ -30,7 +30,7 @@ from math import comb, factorial, prod
 
 from .algebra import Poly, fit_polynomial, tangent_number, zigzag_numbers
 from .distributions import MMP_Q1, Family, dist_brute, family_polynomial
-from .records import make_record
+from .records import make_record, sole_passing_variant
 from .reference import PRINTED_CLOSED_FORMS
 
 
@@ -172,15 +172,17 @@ def _q_in_proof(k: int, n: int) -> Fraction:
     return acc
 
 
-def _q_extended(k: int, n: int) -> Fraction:
-    # The r_k sum evaluates q_m at n = m, one step below the recursion seed.
-    # The distribution polynomial for length 2m + 1 has degree 2m - 1 < 2m,
-    # so the level count at 2m vanishes and q_m(m) = 0 for m >= 1.
-    if k == 0:
-        return Fraction(1)
-    if n == k:
-        return Fraction(0)
-    return q_value(k, n)
+def _secant_sum(law, k: int, top: int) -> Fraction:
+    """
+    sum_{j=0}^{k} S_{2j} top (top-2) ... (top-2j+2) / (2j)! * law(k-j, j),
+    S the secant numbers: r_k(n) at top = 2n - 1 and s_k(n) at top = 2n.
+    """
+    ee = zigzag_numbers(2 * k)
+    acc = Fraction(0)
+    for j in range(k + 1):
+        weight = Fraction(ee[2 * j] * prod(range(top, top - 2 * j, -2)), factorial(2 * j))
+        acc += weight * law(k - j, j)
+    return acc
 
 
 @cache
@@ -189,19 +191,19 @@ def r_value(k: int, n: int) -> Fraction:
     r_k(n) = sum_{j=0}^{k} S_{2j} prod_{s=1}^{j} (2n+1-2s) / (2j)!
              * q_{k-j}(n-j-1),  for n >= k + 1  (S the secant numbers).
 
+    At n = k + 1 every term reads q_m(m), one step below the recursion seed.
+    The distribution polynomial for length 2m + 1 has degree 2m - 1 < 2m, so
+    the level count at 2m vanishes and q_m(m) = 0 for m >= 1 (q_0 = 1).
+
     >>> r_value(1, 2)
     Fraction(3, 2)
     """
     if n < k + 1:
         raise ValueError(f"r_{k} is defined for n >= {k + 1}")
-    ee = zigzag_numbers(2 * k)
-    acc = Fraction(0)
-    for j in range(0, k + 1):
-        prod = 1
-        for s in range(1, j + 1):
-            prod *= 2 * n + 1 - 2 * s
-        acc += Fraction(ee[2 * j] * prod, factorial(2 * j)) * _q_extended(k - j, n - j - 1)
-    return acc
+    return _secant_sum(
+        lambda m, j: Fraction(0) if m >= 1 and n - j - 1 == m else q_value(m, n - j - 1),
+        k, 2 * n - 1,
+    )
 
 
 @cache
@@ -215,14 +217,7 @@ def s_value(k: int, n: int) -> Fraction:
     """
     if n < k + 1:
         raise ValueError(f"s_{k} is defined for n >= {k + 1}")
-    ee = zigzag_numbers(2 * k)
-    acc = Fraction(0)
-    for j in range(0, k + 1):
-        prod = 1
-        for s in range(1, j + 1):
-            prod *= 2 * n + 2 - 2 * s
-        acc += Fraction(ee[2 * j] * prod, factorial(2 * j)) * p_value(k - j, n - j)
-    return acc
+    return _secant_sum(lambda m, j: p_value(m, n - j), k, 2 * n)
 
 
 def p_values(k: int, n_max: int) -> list[Fraction]:
@@ -436,14 +431,8 @@ def q_variant_adjudication(k_max: int, n_max: int) -> list[dict]:
 
 
 def confirmed_q_variant() -> str:
-    by_variant: dict[str, bool] = {}
-    for rec in q_variant_adjudication(3, 8):
-        ok = by_variant.setdefault(rec["variant"], True)
-        by_variant[rec["variant"]] = ok and rec["verdict"] == "pass"
-    confirmed = [v for v, ok in by_variant.items() if ok]
-    if len(confirmed) != 1:
-        raise RuntimeError(f"expected exactly one surviving q variant, got {by_variant}")
-    return confirmed[0]
+    """Which printed q recursion the level-set counts confirm."""
+    return sole_passing_variant(q_variant_adjudication(3, 8))
 
 
 def closed_form_check(which: str, k: int, n_values: list[int] | None = None) -> list[dict]:

@@ -38,7 +38,7 @@ from .permutations import (
     enumerate_alternating,
     mmp_count,
 )
-from .records import make_record
+from .records import make_record, sole_passing_variant
 
 MMP_Q1 = QuadrantSpec(1, 0, 0, 0)
 
@@ -273,10 +273,11 @@ def dist_brute(
 #     B' = 1 + tan(xt) B     B(0) = 0
 #     C' = sec(xt) B         C(0) = 1
 #     D' = sec(xt) A         D(0) = 0
-# A and B go through the term-by-term solver; C and D are a product and an
-# antiderivative of already-known series.  A truncated solution's first m + 1
-# coefficients do not depend on its order, so each series is solved once per
-# key at the highest order asked and lower orders are truncations of it.
+# A is sec(xt)^{1/x}, sec_xt_power at multiplier 1; it and B go through the
+# term-by-term solver, C and D are a product and an antiderivative of known
+# series.  A truncated solution's first m + 1 coefficients do not depend on its
+# order, so each series is solved once per key at the highest order asked and
+# lower orders are truncations of it.
 # ---------------------------------------------------------------------------
 
 
@@ -315,13 +316,11 @@ def egf_family(family: Family, order: int, /) -> EgfSeries:
     if order == 0:
         start = Poly.one() if family.even_length else Poly.zero()
         return EgfSeries([start])
-    tan = tan_series(order - 1)
     if family is Family.A:
-        return solve_linear_ode(tan, _zero_series(order - 1), Poly.one(), order)
+        return sec_xt_power(Poly.one(), order)
     if family is Family.B:
-        return solve_linear_ode(
-            tan, EgfSeries.constant(Poly.one(), order - 1), Poly.zero(), order
-        )
+        one = EgfSeries.constant(Poly.one(), order - 1)
+        return solve_linear_ode(tan_series(order - 1), one, Poly.zero(), order)
     if family is Family.C:
         rhs = sec_series(order - 1) * egf_family(Family.B, order - 1)
         return rhs.integrate(constant=Poly.one())
@@ -338,10 +337,8 @@ def sec_xt_power(multiplier: Poly, order: int, /) -> EgfSeries:
     series coefficient polynomial in x; the power itself is never formed
     symbolically.
     """
-    if order == 0:
-        return EgfSeries([Poly.one()])
-    f = tan_series(order - 1) * multiplier
-    return solve_linear_ode(f, _zero_series(order - 1), Poly.one(), order)
+    f = tan_series(order) * multiplier
+    return solve_linear_ode(f, _zero_series(order), Poly.one(), order)
 
 
 @_longest_solve
@@ -351,14 +348,12 @@ def sec_t_power_of_x(order: int, /) -> EgfSeries:
     sec_xt_power, the tangent argument here carries no x; its coefficients
     are the bare tangent numbers times the marker x.
     """
-    if order == 0:
-        return EgfSeries([Poly.one()])
-    ee = zigzag_numbers(order - 1)
+    ee = zigzag_numbers(order)
     f = EgfSeries(
         Poly.monomial(ee[m], 1) if m % 2 == 1 else Poly.zero()
-        for m in range(order)
+        for m in range(order + 1)
     )
-    return solve_linear_ode(f, _zero_series(order - 1), Poly.one(), order)
+    return solve_linear_ode(f, _zero_series(order), Poly.one(), order)
 
 
 # ---------------------------------------------------------------------------
@@ -513,12 +508,5 @@ def closed_form_series_check(order: int) -> list[dict]:
 
 def confirmed_c_variant() -> str:
     """Which inner exponent the exact computation confirms for the C form."""
-    verdicts = {
-        rec["variant"]: rec["verdict"]
-        for rec in closed_form_series_check(10)
-        if rec["check"] == "c-double-integral"
-    }
-    confirmed = [v for v, verdict in verdicts.items() if verdict == "pass"]
-    if len(confirmed) != 1:
-        raise RuntimeError(f"expected exactly one confirmed variant, got {verdicts}")
-    return confirmed[0]
+    records = closed_form_series_check(10)
+    return sole_passing_variant(r for r in records if r["check"] == "c-double-integral")

@@ -182,10 +182,11 @@ def test_value_domain_errors():
         p_value(2, 2)
     with pytest.raises(ValueError):
         q_value(1, 1)
-    with pytest.raises(ValueError):
-        r_value(3, 3)
-    with pytest.raises(ValueError):
-        s_value(2, 1)
+    # r and s name their own domain; at k = 0 nothing below would raise
+    for law, k, n in [(r_value, 3, 3), (s_value, 2, 1), (r_value, 0, 0), (s_value, 0, 0)]:
+        letter = law.__name__[0]
+        with pytest.raises(ValueError, match=rf"^{letter}_{k} is defined for n >= {k + 1}$"):
+            law(k, n)
 
 
 def test_seed_identities():

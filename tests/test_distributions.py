@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import meshlab.distributions
-from meshlab.algebra import Poly, zigzag_numbers
+from meshlab.algebra import EgfSeries, Poly, solve_linear_ode, tan_series, zigzag_numbers
 from meshlab.distributions import (
     DEFAULT_BRUTE_LIMIT,
     MMP_Q1,
@@ -30,6 +30,7 @@ from meshlab.distributions import (
     symmetry_suite,
 )
 from meshlab.permutations import DOWN_UP, UP_DOWN, QuadrantSpec, enumerate_alternating
+from meshlab.records import make_record, sole_passing_variant
 from meshlab.reference import FAMILY_TABLES
 
 
@@ -351,8 +352,11 @@ def test_egf_examples():
 
 
 def test_sec_powers():
-    # multiplier 1 solves the same equation as the A family series
-    assert sec_xt_power(Poly.one(), 8) == egf_family(Family.A, 8)
+    # A is sec_xt_power's series at multiplier 1 by construction, so check it
+    # against its own ODE, A' = tan(xt) A with A(0) = 1, solved directly
+    for n in range(1, 13):
+        zero = EgfSeries.constant(Poly.zero(), n - 1)
+        assert egf_family(Family.A, n) == solve_linear_ode(tan_series(n - 1), zero, 1, n), n
     s = sec_t_power_of_x(4)
     assert s.coefficient(0) == Poly.one()
     assert s.coefficient(2) == Poly([0, 1])
@@ -517,12 +521,14 @@ print(sorted(orders))
 
 def test_exact_series_pass_solves_each_series_once():
     # the benchmark's exact-series calls in a new process: each of A, B,
-    # sec(xt)^{1/x}, sec(xt)^{-1/x}, sec(xt)^{1+1/x} and (sec t)^x is solved
-    # once, at the highest order asked, and every lower order is a truncation
+    # sec(xt)^{-1/x}, sec(xt)^{1+1/x} and (sec t)^x is solved once, at the
+    # highest order asked, and every lower order is a truncation.  A and
+    # sec(xt)^{1/x} are one series, so closed_form_series_check's order-40
+    # sec(xt)^{1/x} is a truncation of A's order-80 solve
     proc = subprocess.run(
         [sys.executable, "-c", _COUNT_SOLVES], capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.splitlines() == ["[39, 39, 40, 80, 80]", "[39, 39, 40, 80, 80, 80]"]
+    assert proc.stdout.splitlines() == ["[39, 39, 80, 80]", "[39, 39, 80, 80, 80]"]
 
 
 def _all_int(polys) -> bool:
@@ -659,3 +665,20 @@ def test_composite_series_forms_and_c_adjudication():
     assert by_variant["inner exponent -1/x"] == "pass"
     assert by_variant["inner exponent +1/x"] == "fail"
     assert confirmed_c_variant() == "inner exponent -1/x"
+
+
+def _variant_records(*pairs):
+    return [make_record("t", expected=1, actual=int(ok), variant=v) for v, ok in pairs]
+
+
+def test_sole_passing_variant():
+    # a variant passes when every one of its records passes, in any order
+    records = _variant_records(("a", True), ("b", True), ("a", True), ("b", False))
+    assert sole_passing_variant(records) == "a"
+    assert sole_passing_variant(iter(records)) == "a"
+    assert sole_passing_variant(_variant_records(("a", False), ("a", True), ("b", True))) == "b"
+    assert sole_passing_variant(_variant_records(("c", True))) == "c"
+    # none passes, two pass, or there is nothing to read
+    for pairs in ([("a", False), ("b", True), ("b", False)], [("a", True), ("b", True)], []):
+        with pytest.raises(RuntimeError, match="expected exactly one passing variant"):
+            sole_passing_variant(_variant_records(*pairs))

@@ -10,7 +10,9 @@ comparison flipped (< <=, > >=, == !=, is / is not), an arithmetic operator
 swapped (+ -, * //, << >>) or an int constant moved by one either way.  The
 module is rewritten with ast.unparse into a copy of the repository and the
 given tests run there with -x; a mutant that passes them survives.  The
-unparsed, unmutated module must pass the same tests first.
+unparsed, unmutated module must pass the same tests first, and that run's
+time sets each mutant's timeout: a mutant run that takes longer (say, one
+whose mutation made a loop endless) is stopped and counts as killed.
 """
 from __future__ import annotations
 
@@ -21,10 +23,11 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TIMEOUT_S = 300.0  # a test run that takes longer, say a mutant loop, kills its mutant
+TIMEOUT_FACTOR, TIMEOUT_FLOOR_S = 10, 5.0  # a mutant's timeout, from the unmutated run
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
@@ -70,16 +73,17 @@ def mutants(tree: ast.Module, names: set[str]):
                 setattr(node, field, old)
 
 
-def passes(work: Path, tests: list[str]) -> bool:
+def outcome(work: Path, tests: list[str], timeout: float | None = None) -> str:
+    """How the tests end: "passed", "failed", or "timed out" past timeout seconds."""
     env = dict(os.environ, PYTHONPATH=str(work / "src"))
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
-            cwd=work, env=env, capture_output=True, timeout=TIMEOUT_S,
+            cwd=work, env=env, capture_output=True, timeout=timeout,
         )
     except subprocess.TimeoutExpired:
-        return False
-    return proc.returncode == 0
+        return "timed out"
+    return "passed" if proc.returncode == 0 else "failed"
 
 
 def main() -> int:
@@ -95,15 +99,20 @@ def main() -> int:
             ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_*"))
         target = work / args.module
         target.write_text(ast.unparse(tree))
-        if not passes(work, args.tests):
+        start = time.perf_counter()
+        if outcome(work, args.tests) != "passed":
             raise SystemExit("the unmutated, unparsed module fails the tests")
+        baseline = time.perf_counter() - start
+        timeout = max(TIMEOUT_FACTOR * baseline, TIMEOUT_FLOOR_S)
+        print(f"unmutated run {baseline:.1f} s, mutant timeout {timeout:.1f} s", flush=True)
         total = survived = 0
         for label in mutants(tree, set(args.functions)):
             target.write_text(ast.unparse(tree))
             total += 1
-            survives = passes(work, args.tests)
-            survived += survives
-            print(("SURVIVED  " if survives else "killed    ") + label, flush=True)
+            result = outcome(work, args.tests, timeout)
+            survived += result == "passed"
+            shown = {"passed": "SURVIVED", "failed": "killed"}.get(result, result)
+            print(f"{shown:<10}{label}", flush=True)
     print(f"{total - survived} of {total} mutants killed, {survived} survived")
     return 0
 
