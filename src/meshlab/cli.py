@@ -16,6 +16,7 @@ import argparse
 import json
 import re
 import sys
+from functools import cache
 from pathlib import Path
 
 from .algebra import Poly, Rational, sec_series, tan_series
@@ -183,11 +184,17 @@ def cache_record(family: Family, index: int, poly: Poly) -> dict:
     }
 
 
+_FAMILY_VALUES = tuple(f.value for f in Family)  # a tuple: JSON lists are unhashable
+
+
 def _is_cache_record(record) -> bool:
+    """A row cache_record could have written: a family A-D and an int index >= 0."""
+    # a bool is an int: ("A", True) would be taken for row ("A", 1)
     return (
         isinstance(record, dict)
-        and isinstance(record.get("family"), str)
-        and isinstance(record.get("index"), int)
+        and record.get("family") in _FAMILY_VALUES
+        and type(record.get("index")) is int
+        and record["index"] >= 0
     )
 
 
@@ -334,7 +341,9 @@ def _int_at_least(low: int):
     return integer
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per process: parsing leaves it unchanged and it holds no env value."""
     parser = argparse.ArgumentParser(
         prog="meshlab",
         description="Exact quadrant marked mesh pattern distributions over "

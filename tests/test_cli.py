@@ -234,6 +234,7 @@ def test_table_cache_write_and_merge(tmp_path, capsys):
     for rec in records:
         assert rec["provenance"] == "recursion"
         assert all(isinstance(c, str) for c in rec["coeffs"])
+    assert cache.read_text() == json.dumps(records, indent=2) + "\n"
 
 
 def test_table_cache_unwritable_still_prints(tmp_path, capsys):
@@ -247,8 +248,12 @@ def test_table_cache_unwritable_still_prints(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "content", ["not json", "[1, 2]", '{"keep": "me"}', "{}"],
-    ids=["not-json", "list-of-ints", "object", "empty-object"],
+    "content",
+    ["not json", "[1, 2]", '{"keep": "me"}', "{}",
+     '[{"family": "A", "index": true}]', '[{"family": "Q", "index": 1}]',
+     '[{"family": "A", "index": -1}]', '[{"family": ["A"], "index": 1}]'],
+    ids=["not-json", "list-of-ints", "object", "empty-object",
+         "bool-index", "unknown-family", "negative-index", "list-family"],
 )
 def test_table_cache_malformed_still_prints(tmp_path, capsys, content):
     cache = tmp_path / "cache.json"
@@ -327,6 +332,26 @@ def test_series_order_cap_is_configurable(capsys, monkeypatch):
     with pytest.raises(SystemExit) as excinfo:
         main(["series", "--gf", "tanx", "--order", "12"])
     assert excinfo.value.code == 2
+
+
+def test_main_reuses_one_parser(capsys):
+    # a usage error must leave the shared parser as it found it
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    calls = (["series", "--gf", "cot", "--order", "3"],
+             ["series", "--gf", "A", "--order", "4"],
+             ["--help"])
+    meshlab.cli.build_parser.cache_clear()
+    first = [outcome(argv) for argv in calls]
+    assert [code for code, _, _ in first] == [2, 0, 0]
+    assert [outcome(argv) for argv in calls] == first
+    assert meshlab.cli.build_parser.cache_info().misses == 1
 
 
 # --- brute command -----------------------------------------------------------
@@ -578,6 +603,30 @@ def test_bad_integer_input_is_usage_error(env, argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, floor",
+    [
+        (["table", "--family", "A", "--max-index"], 0),
+        (["verify", "--suite", "tables", "--max-length"], 1),
+        (["verify", "--suite", "tables", "--workers"], 1),
+        (["series", "--gf", "A", "--order"], 0),
+        (["brute", "--length", "2", "--class", "ud", "--pattern", "1,0,0,0",
+          "--workers"], 1),
+        (["unimodal", "--max-index"], 0),
+    ],
+    ids=["table-max-index", "max-length", "verify-workers", "order", "brute-workers",
+         "unimodal-max-index"],
+)
+def test_integer_option_floor(capsys, argv, floor):
+    # the floor itself is accepted; one below it is a usage error
+    code, _, _ = run(capsys, *argv, str(floor))
+    assert code == 0
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, str(floor - 1)])
+    assert excinfo.value.code == 2
+    assert f"must be at least {floor}, got {floor - 1}" in capsys.readouterr().err
+
+
 def int_text(cap):
     """Integer option text: edge values, a small valid value or a non-integer."""
     return st.one_of(
@@ -660,3 +709,7 @@ def test_unimodal(capsys):
     assert len(lines) == 24
     assert all("unimodal" in line for line in lines)
     assert any("mode at x^6" in line for line in lines)
+
+
+def test_unimodal_default_max_index(capsys):
+    assert run(capsys, "unimodal") == run(capsys, "unimodal", "--max-index", "8")
