@@ -343,7 +343,7 @@ def _int_at_least(low: int):
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """One parser per process: parsing leaves it unchanged and it holds no env value."""
+    """One parser per process: parsing leaves it unchanged; it holds no env value or handler."""
     parser = argparse.ArgumentParser(
         prog="meshlab",
         description="Exact quadrant marked mesh pattern distributions over "
@@ -356,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-index", type=_int_at_least(0), required=True)
     p.add_argument("--format", choices=FORMATS, default="plain")
     p.add_argument("--cache", help="JSON cache file to create or update")
-    p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument(
@@ -368,13 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="adjudication disagreements also fail the run")
     p.add_argument("--report", help="write the JSON report here")
     p.add_argument("--format", choices=("plain", "json"), default="plain")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("series", help="EGF coefficients")
     p.add_argument("--gf", required=True, choices=sorted(_SERIES))
     p.add_argument("--order", type=_int_at_least(0), required=True)
     p.add_argument("--format", choices=FORMATS, default="plain")
-    p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("brute", help="exhaustive oracle for one distribution")
     p.add_argument("--length", type=int, required=True)
@@ -384,11 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true",
                    help="override the enumeration length guard")
     p.add_argument("--format", choices=FORMATS, default="plain")
-    p.set_defaults(func=cmd_brute)
 
     p = sub.add_parser("unimodal", help="unimodality scan of the four families")
     p.add_argument("--max-index", type=_int_at_least(0), default=8)
-    p.set_defaults(func=cmd_unimodal)
 
     return parser
 
@@ -404,7 +399,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
     if args.command == "series" and args.order > series_cap:
         parser.error(f"--order is capped at {series_cap}")
-    return args.func(args)
+    # looked up per call, so a rebound cmd_* (a tracer's wrapper) is the one run
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial, prod
 
-from .algebra import Poly, fit_polynomial, tangent_number, zigzag_numbers
+from .algebra import Poly, tangent_number, zigzag_numbers
 from .distributions import MMP_Q1, Family, dist_brute, family_polynomial
 from .records import make_record, sole_passing_variant
 from .reference import PRINTED_CLOSED_FORMS
@@ -469,16 +469,6 @@ def closed_form_verdicts() -> dict[tuple[str, int], bool]:
         records = closed_form_check(which, k)
         verdicts[(which, k)] = all(r["verdict"] == "pass" for r in records)
     return verdicts
-
-
-def fit_ratio_polynomial(which: str, k: int) -> Poly:
-    """
-    Interpolate the ratio values on 2k + 1 points from the seed: the printed
-    forms have degree 2k, so this is the unique candidate polynomial.
-    """
-    value_fn = _LEVELS[_FAMILY_OF_LAW[which]].law
-    points = [(Fraction(n), value_fn(k, n)) for n in range(k + 1, k + 2 + 2 * k)]
-    return fit_polynomial(points)
 
 
 def unimodality_check(family: Family, max_index: int) -> list[dict]:

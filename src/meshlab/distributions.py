@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import os
 from functools import cache, wraps
+from itertools import accumulate
 from math import comb
 
 from .algebra import (
@@ -50,8 +51,12 @@ UNIT_PATTERNS = {
 }
 
 # Hard guard for the exhaustive oracle.  At length 14 the "python" engine makes
-# ~2 * 10^8 statistic evaluations per class and the default one holds about
-# C(14, 7) histogram lists (~2 MB); beyond that you must opt in explicitly.
+# ~2 * 10^8 statistic evaluations per class and the default one's subset DP
+# holds about C(14, 7) histogram lists (~2 MB); beyond that you must opt in
+# explicitly.  Specs with quadrants II and III unconstrained run the triangle
+# DP, O(n^2) additions, and do not need the guard; it stays unchanged and
+# applies to every spec alike, so whether a call is refused depends on its
+# length alone.
 DEFAULT_BRUTE_LIMIT = 14
 BRUTE_LIMIT_ENV = "MESHLAB_MAX_BRUTE"
 
@@ -165,7 +170,47 @@ def _dist_brute_python(length: int, cls: AlternatingClass, spec: QuadrantSpec) -
     return Poly(hist)
 
 
+def _unpacked(packed: int, w: int, n: int) -> Poly:
+    """The histogram packed w bits per coefficient, x^0 lowest, up to x^n."""
+    mask = (1 << w) - 1
+    return Poly([(packed >> (k * w)) & mask for k in range(n + 1)])
+
+
+def _dist_brute_triangle(n: int, cls: AlternatingClass, ok1: list[bool], ok4: list[bool]) -> Poly:
+    # With quadrants II and III unconstrained, a position's match depends only
+    # on the rank j of its value v among the r values not yet placed (v
+    # included): the r - 1 later entries are the others, so c4 = j and
+    # c1 = r - 1 - j.  A prefix's future thus depends only on which gap of
+    # its unplaced values holds its last value, and ends[k] is the packed
+    # histogram of the prefixes whose last value has k unplaced values below
+    # it: the boustrophedon (Entringer) triangle, with x marking matches.  A
+    # value of rank j may follow the gaps k <= j on an ascent and k > j on a
+    # descent, so each depth is one running sum over ends, and the new last
+    # value leaves j unplaced values below it.  A virtual value 0 (before an
+    # ascent) or n + 1 (before a descent) opens the word, so any value may
+    # come first.  One slot merges prefixes over every placed set, so it can
+    # hold more than E_n of them; a coefficient counts at most the class
+    # prefixes of length d, C(n, d) E_d (a set of d values, arranged
+    # alternating), so w bits hold every coefficient without a carry.
+    ee = zigzag_numbers(n)
+    w = max(comb(n, d) * ee[d] for d in range(n + 1)).bit_length()
+    ends = [0] * (n + 1)
+    ends[0 if cls.rises_into(0) else n] = 1
+    for d in range(n):
+        r = n - d
+        if cls.rises_into(d):
+            sums = list(accumulate(ends[:r]))  # sums[j]: gaps 0..j
+        else:
+            sums = list(accumulate(ends[:0:-1]))[::-1]  # sums[j]: gaps j+1..r
+        ends = [s << w if ok1[r - 1 - j] and ok4[j] else s for j, s in enumerate(sums)]
+    return _unpacked(ends[0], w, n)
+
+
 def _dist_brute_incremental(length: int, cls: AlternatingClass, spec: QuadrantSpec) -> Poly:
+    # Specs that read nothing from quadrants II and III need only the rank
+    # of the last value among the unplaced ones: see _dist_brute_triangle.
+    # Every other spec runs the subset DP below.
+    #
     # Each position's quadrant counts are fixed the moment its value v lands
     # at 0-based depth d: with c2 the values already placed above v,
     #   c3 = d - c2,  c1 = (n - v) - c2,  c4 = (v - 1) - c3,
@@ -183,10 +228,12 @@ def _dist_brute_incremental(length: int, cls: AlternatingClass, spec: QuadrantSp
     # multiplying by x is a shift.  A state holds at most E_n prefixes (the
     # arrangements of its values), so no coefficient carries into the next.
     n = length
-    w = zigzag_numbers(n)[n].bit_length()
     ok1, ok2, ok3, ok4 = (
         [c == 0 if req is None else c >= req for c in range(n)] for req in spec.requirements
     )
+    if spec.q2 == 0 and spec.q3 == 0:
+        return _dist_brute_triangle(n, cls, ok1, ok4)
+    w = zigzag_numbers(n)[n].bit_length()
     layer: dict[int, list[int]] = {0: []}
     for d in range(n):
         # Sweep v so that acc has passed exactly the values v may follow.
@@ -216,8 +263,7 @@ def _dist_brute_incremental(length: int, cls: AlternatingClass, spec: QuadrantSp
                     slot[d - c2] = acc << w if marks[c2] else acc
         layer = grown
     (ends,) = layer.values()
-    packed, mask = sum(ends), (1 << w) - 1
-    return Poly([(packed >> (k * w)) & mask for k in range(n + 1)])
+    return _unpacked(sum(ends), w, n)
 
 
 _ENGINES = {"incremental": _dist_brute_incremental, "python": _dist_brute_python}
@@ -239,8 +285,12 @@ def dist_brute(
     Lengths above the guard (see brute_force_limit) raise
     BruteForceLimitError unless force=True.  engine selects one of:
 
-      * "incremental" (the default): extends together all words that share
-        their placed values and last value, O(n 2^n) steps in all;
+      * "incremental" (the default): when the spec leaves quadrants II and
+        III unconstrained (MMP(a,0,0,d), the quadrant-I statistic among
+        them), it extends together all words whose last value has the same
+        rank among the values not yet placed: the boustrophedon triangle,
+        n(n+1)/2 additions.  Any other spec extends together all words that
+        share their placed values and last value, O(n^2 2^n) steps;
       * "python": the literal reference, mmp_count on every generated word.
 
     Any other engine raises ValueError; a histogram that does not sum to the

@@ -354,6 +354,27 @@ def test_main_reuses_one_parser(capsys):
     assert meshlab.cli.build_parser.cache_info().misses == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "--family", "A", "--max-index", "1"],
+    ["verify", "--suite", "tables"],
+    ["series", "--gf", "A", "--order", "2"],
+    ["brute", "--length", "2", "--class", "ud", "--pattern", "1,0,0,0"],
+    ["unimodal", "--max-index", "1"],
+], ids=lambda argv: argv[0])
+def test_main_runs_the_handler_bound_at_call_time(capsys, monkeypatch, argv):
+    # the shared parser must not keep the cmd_* it saw when it was built: a
+    # tracer rebinds them after the first main call of a process
+    assert main(argv) == 0
+    seen = []
+    monkeypatch.setattr(meshlab.cli, f"cmd_{argv[0]}", lambda args: seen.append(args) or 7)
+    assert main(argv) == 7
+    assert [args.command for args in seen] == [argv[0]]
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+
+
 # --- brute command -----------------------------------------------------------
 
 

@@ -9,14 +9,13 @@ from math import factorial, perm
 import pytest
 
 import meshlab.coeff_laws
-from meshlab.algebra import Poly, zigzag_numbers
+from meshlab.algebra import Poly, fit_polynomial, zigzag_numbers
 from meshlab.coeff_laws import (
     closed_form_check,
     closed_form_verdicts,
     confirmed_q_variant,
     double_factorial,
     falling_factorial,
-    fit_ratio_polynomial,
     highest_coefficient_check,
     level_base,
     level_law_check,
@@ -438,10 +437,22 @@ def test_closed_form_check_records():
     assert records[0]["expected"] == "2" and records[0]["actual"] == "1"
 
 
+_RATIO_LAWS = {"p": p_value, "q": q_value, "r": r_value, "s": s_value}
+
+
+def fit_ratio_polynomial(which: str, k: int) -> Poly:
+    """
+    Interpolate the ratio values on 2k + 1 points from the seed: the printed
+    forms have degree 2k, so this is the unique candidate polynomial.
+    """
+    points = [(Fraction(n), _RATIO_LAWS[which](k, n)) for n in range(k + 1, k + 2 + 2 * k)]
+    return fit_polynomial(points)
+
+
 def test_fitted_ratio_polynomials():
     # interpolation on 2k+1 points, then two extra points as out-of-sample
     # confirmation of polynomiality
-    for which, value_fn in (("p", p_value), ("q", q_value), ("r", r_value), ("s", s_value)):
+    for which, value_fn in _RATIO_LAWS.items():
         for k in range(0, 4):
             fitted = fit_ratio_polynomial(which, k)
             assert fitted.degree <= 2 * k

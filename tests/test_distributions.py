@@ -87,6 +87,25 @@ def test_engines_agree(spec):
             )
 
 
+def test_incremental_engine_runs_the_triangle_when_quadrants_two_and_three_are_free(
+    monkeypatch,
+):
+    # both DPs give the same histograms, so only the route shows which ran
+    routed = []
+    triangle = meshlab.distributions._dist_brute_triangle
+
+    def spy(n, cls, ok1, ok4):
+        routed.append(n)
+        return triangle(n, cls, ok1, ok4)
+
+    monkeypatch.setattr(meshlab.distributions, "_dist_brute_triangle", spy)
+    entries = (None, 0, 1)
+    for reqs in itertools.product(entries, repeat=4):
+        routed.clear()
+        dist_brute(5, DOWN_UP, QuadrantSpec(*reqs))
+        assert routed == ([5] if reqs[1:3] == (0, 0) else []), reqs
+
+
 def test_worker_partitioning_is_exact():
     for cls in (UP_DOWN, DOWN_UP):
         lone = dist_brute(8, cls, MMP_Q1, workers=1)
@@ -113,17 +132,23 @@ def test_incremental_engine_matches_reference(length, cls, reqs):
     assert_incremental_matches_reference(length, cls, QuadrantSpec(*reqs))
 
 
-@pytest.mark.parametrize("length", [0, 1, 2, 4, 5])
+@pytest.mark.parametrize("length", range(9))
 def test_incremental_engine_on_short_words(length):
     # 9 exceeds every quadrant count, so each quadrant runs its "empty",
-    # "at least k" and "never met" threshold entries
+    # "at least k" and "never met" threshold entries.  Past length 5 only
+    # the specs with quadrants II and III unconstrained run (the triangle
+    # DP); the literal engine makes the rest too slow to run them all
     entries = (None, 0, 1, 2, 9)
-    for reqs in itertools.product(entries, repeat=4):
+    middles = itertools.product(entries, repeat=2) if length <= 5 else [(0, 0)]
+    for (b, c), (a, d) in itertools.product(middles, itertools.product(entries, repeat=2)):
         for cls in (UP_DOWN, DOWN_UP):
-            assert_incremental_matches_reference(length, cls, QuadrantSpec(*reqs))
+            assert_incremental_matches_reference(length, cls, QuadrantSpec(a, b, c, d))
 
 
-@pytest.mark.parametrize("spec", [QuadrantSpec(1, 0, None, 2), QuadrantSpec(None, 2, 0, 1)])
+@pytest.mark.parametrize("spec", [
+    QuadrantSpec(1, 0, None, 2), QuadrantSpec(None, 2, 0, 1),  # the subset DP
+    QuadrantSpec(2, 0, 0, 1), QuadrantSpec(None, 0, 0, 2),  # the triangle DP
+])
 @pytest.mark.parametrize("cls", [UP_DOWN, DOWN_UP])
 def test_incremental_engine_at_length_nine(cls, spec):
     assert_incremental_matches_reference(9, cls, spec)
@@ -131,20 +156,25 @@ def test_incremental_engine_at_length_nine(cls, spec):
 
 @pytest.mark.parametrize("cls", [UP_DOWN, DOWN_UP])
 def test_packed_histogram_boundaries(cls):
-    # The default engine packs each coefficient into E_n.bit_length() bits:
-    # the all-zero spec puts all E_n words on x^n (the top coefficient fills
-    # its field), the all-empty spec puts them on x^0 once n >= 2.
-    ee = zigzag_numbers(DEFAULT_BRUTE_LIMIT)
-    for length in range(1, DEFAULT_BRUTE_LIMIT + 1):
-        assert dist_brute(length, cls, QuadrantSpec(0, 0, 0, 0)) == Poly.monomial(
+    # The default engine packs the coefficients of a histogram into fixed
+    # fields: E_n.bit_length() bits in the subset DP, where a state holds at
+    # most E_n words, and the wider max_d C(n, d) E_d bits in the triangle DP,
+    # whose slots merge prefixes over every set of placed values.  The
+    # all-zero spec puts all E_n words on x^n (the top field), the all-empty
+    # spec puts them on x^0 once n >= 2.  The two triangle specs also run
+    # past the guard, to length 20.
+    top = 20
+    ee = zigzag_numbers(top)
+    for length in range(1, top + 1):
+        assert dist_brute(length, cls, QuadrantSpec(0, 0, 0, 0), force=True) == Poly.monomial(
             ee[length], length
         )
-        if length >= 2:
+        if 2 <= length <= DEFAULT_BRUTE_LIMIT:
             assert dist_brute(length, cls, QuadrantSpec(None, None, None, None)) == Poly(
                 [ee[length]]
             )
         family = family_for(length, cls)
-        assert dist_brute(length, cls, MMP_Q1) == family_polynomial(
+        assert dist_brute(length, cls, MMP_Q1, force=True) == family_polynomial(
             family, family.index_for_length(length)
         )
 
@@ -220,6 +250,18 @@ def test_reverse_complement_symmetry_at_long_lengths(length, cls, reqs):
     assert dist_brute(length, cls, QuadrantSpec(a, b, c, d)) == dist_brute(
         length, rc_class(length, cls), QuadrantSpec(c, d, a, b)
     )
+
+
+@pytest.mark.parametrize("length", [10, 11, 12])
+def test_triangle_dp_against_the_subset_dp_by_reverse_complement(length):
+    # reverse-complement takes MMP(a,0,0,d), which the triangle DP counts,
+    # to MMP(0,d,a,0), which the subset DP counts whenever a or d is set
+    entries = (None, 0, 1, 2, 9)
+    for a, d in itertools.product(entries, repeat=2):
+        for cls in (UP_DOWN, DOWN_UP):
+            assert dist_brute(length, cls, QuadrantSpec(a, 0, 0, d)) == dist_brute(
+                length, rc_class(length, cls), QuadrantSpec(0, d, a, 0)
+            ), (a, d, cls)
 
 
 def test_brute_guard(monkeypatch):
