@@ -30,7 +30,6 @@ from .permutations import (
     UP_DOWN,
     AlternatingClass,
     QuadrantSpec,
-    classify,
     complement,
     enumerate_alternating,
     is_down_up,

@@ -16,6 +16,7 @@ that is what you mean.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 from typing import Iterable, Sequence
 
@@ -291,9 +292,10 @@ def solve_linear_ode(
 # E_n counts the alternating permutations of length n; the even-indexed values
 # are the secant numbers (A000364) and the odd-indexed ones the tangent
 # numbers (A000182).  Computed by the boustrophedon (Seidel triangle)
-# recurrence: integer additions only, no series inversion.
-_zigzag: list[int] = [1]
-_seidel_row: list[int] = [1]
+# recurrence: integer additions only, no series inversion.  The table and the
+# last Seidel row are one pair, never changed in place: a call extends a copy
+# and publishes the new pair whole, so no thread reads a half-built row.
+_zigzag: tuple[list[int], tuple[int, ...]] = ([1], (1,))
 
 
 def zigzag_numbers(n: int) -> list[int]:
@@ -305,15 +307,15 @@ def zigzag_numbers(n: int) -> list[int]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    global _seidel_row
-    while len(_zigzag) <= n:
-        m = len(_zigzag)
-        row = [0]
-        for k in range(m):
-            row.append(row[-1] + _seidel_row[m - 1 - k])
-        _seidel_row = row
-        _zigzag.append(row[-1])
-    return _zigzag[: n + 1]
+    global _zigzag
+    table, row = _zigzag
+    if len(table) <= n:
+        table = table.copy()
+        while len(table) <= n:
+            row = tuple(accumulate(reversed(row), initial=0))
+            table.append(row[-1])
+        _zigzag = table, row
+    return table[: n + 1]
 
 
 def tangent_number(m: int) -> int:

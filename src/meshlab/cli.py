@@ -227,7 +227,7 @@ def cmd_verify(args) -> int:
     else:
         for result in results:
             print(result.summary())
-            for failure in result.failures(include_adjudications=True):
+            for failure in result.failures():
                 tag = "adjudication" if is_adjudication(failure) else "FAILURE"
                 print(
                     f"  [{tag}] {failure['check']} family={failure['family']} "

@@ -225,8 +225,8 @@ def p_values(k: int, n_max: int) -> list[Fraction]:
     return [p_value(k, n) for n in range(k + 1, n_max + 1)]
 
 
-def q_values(k: int, n_max: int, variant: str = "statement") -> list[Fraction]:
-    return [q_value(k, n, variant) for n in range(k + 1, n_max + 1)]
+def q_values(k: int, n_max: int) -> list[Fraction]:
+    return [q_value(k, n) for n in range(k + 1, n_max + 1)]
 
 
 def r_values(k: int, n_max: int) -> list[Fraction]:
@@ -435,19 +435,17 @@ def confirmed_q_variant() -> str:
     return sole_passing_variant(q_variant_adjudication(3, 8))
 
 
-def closed_form_check(which: str, k: int, n_values: list[int] | None = None) -> list[dict]:
+def closed_form_check(which: str, k: int) -> list[dict]:
     """
     Evaluate a published closed form against the recursion values.  The
     printed polynomial is data, not ground truth; disagreement is a reported
-    verdict, not an error.  Default range: eight points from the seed, which
-    pins down polynomials of the printed degrees uniquely.
+    verdict, not an error.  It is checked at the eight points n = k+1 .. k+8,
+    which pin down polynomials of the printed degrees uniquely.
     """
     poly, display = PRINTED_CLOSED_FORMS[(which, k)]
     family = _FAMILY_OF_LAW[which]
-    if n_values is None:
-        n_values = list(range(k + 1, k + 9))
     records = []
-    for n in n_values:
+    for n in range(k + 1, k + 9):
         records.append(
             make_record(
                 "closed-form",

@@ -527,8 +527,9 @@ def closed_form_series_check(order: int) -> list[dict]:
         )
     )
 
-    # D = integral of sec(xz)^{1 + 1/x}
-    d_form = sec_xt_power(Poly([1, 1]), order - 1).integrate()
+    # D = integral of sec(xz)^{1 + 1/x}; the same power is C's outer factor.
+    outer = sec_xt_power(Poly([1, 1]), order - 1)
+    d_form = outer.integrate()
     records.append(
         make_record(
             "series-closed-form",
@@ -540,7 +541,6 @@ def closed_form_series_check(order: int) -> list[dict]:
     )
 
     # C = 1 + double integral; adjudicate the sign of the inner exponent.
-    outer = sec_xt_power(Poly([1, 1]), order - 1)
     for sign, label in ((-1, "inner exponent -1/x"), (+1, "inner exponent +1/x")):
         inner = sec_xt_power(Poly([sign]), order - 2).integrate()
         cand = (outer * inner).integrate(constant=one)

@@ -27,23 +27,6 @@ from typing import Iterator, Sequence
 Perm = tuple[int, ...]
 
 
-def check_permutation(values: Sequence[int]) -> Perm:
-    """
-    Validate one-line notation: a rearrangement of 1..n.  Returns the tuple.
-
-    >>> check_permutation([2, 1])
-    (2, 1)
-    >>> check_permutation([1, 3])
-    Traceback (most recent call last):
-    ...
-    ValueError: not a permutation of 1..2: (1, 3)
-    """
-    perm = tuple(values)
-    if sorted(perm) != list(range(1, len(perm) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(perm)}: {perm}")
-    return perm
-
-
 def quadrant_counts(perm: Sequence[int], i: int) -> tuple[int, int, int, int]:
     """
     Number of points in quadrants I..IV relative to position i (1-based).
@@ -220,30 +203,6 @@ def is_up_down(perm: Sequence[int]) -> bool:
 def is_down_up(perm: Sequence[int]) -> bool:
     """p1 > p2 < p3 > p4 < ...  Length-1 permutations qualify here too."""
     return all((perm[j - 1] < perm[j]) == DOWN_UP.rises_into(j) for j in range(1, len(perm)))
-
-
-def classify(perm: Sequence[int]) -> AlternatingClass | None:
-    """
-    Tri-state classification: UP_DOWN, DOWN_UP, or None for neither.
-
-    A length-1 permutation belongs to both classes; classify reports UP_DOWN
-    for it by convention, so use is_up_down/is_down_up when membership is what
-    matters.
-
-    >>> classify((1, 4, 2, 3)) is UP_DOWN
-    True
-    >>> classify((3, 1, 4, 2)) is DOWN_UP
-    True
-    >>> classify((1, 2, 3, 4)) is None
-    True
-    """
-    if len(perm) == 0:
-        raise ValueError("cannot classify the empty permutation")
-    if is_up_down(perm):
-        return UP_DOWN
-    if is_down_up(perm):
-        return DOWN_UP
-    return None
 
 
 def reduce(window: Sequence[int]) -> Perm:

@@ -63,12 +63,9 @@ class SuiteResult:
     def passed_strict(self) -> bool:
         return all(r["verdict"] == "pass" for r in self.records)
 
-    def failures(self, include_adjudications: bool = False) -> list[dict]:
-        return [
-            r
-            for r in self.records
-            if r["verdict"] == "fail" and (include_adjudications or not is_adjudication(r))
-        ]
+    def failures(self) -> list[dict]:
+        """Every failing record, assertions and adjudications, in record order."""
+        return [r for r in self.records if r["verdict"] == "fail"]
 
     def summary(self) -> str:
         hard = [r for r in self.records if not is_adjudication(r)]

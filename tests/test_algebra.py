@@ -1,5 +1,7 @@
 import doctest
 import itertools
+import sys
+import threading
 from fractions import Fraction
 from math import comb
 
@@ -126,10 +128,16 @@ def test_poly_ring_axioms(a, b, c):
 # --- zigzag numbers --------------------------------------------------------
 
 
-def test_zigzag_prefix():
-    assert zigzag_numbers(10) == [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521]
+def test_zigzag_prefix(monkeypatch):
+    expected = [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521]
+    assert zigzag_numbers(10) == expected
     assert zigzag_numbers(12)[12] == 2702765
-    assert zigzag_numbers(8)[8] == 1385
+    assert zigzag_numbers(8) == expected[:9]
+    # from a cold table, each call asks for one row more than the table holds
+    monkeypatch.setattr(meshlab.algebra, "_zigzag", ([1], (1,)))
+    assert [zigzag_numbers(n) for n in range(11)] == [expected[: n + 1] for n in range(11)]
+    with pytest.raises(ValueError):
+        zigzag_numbers(-1)
 
 
 def test_zigzag_against_direct_filter():
@@ -140,6 +148,43 @@ def test_zigzag_against_direct_filter():
             1 for p in itertools.permutations(range(1, n + 1)) if is_up_down(p)
         )
         assert zigzag_numbers(n)[n] == direct
+
+
+def test_threads_filling_a_cold_zigzag_table_agree(monkeypatch):
+    # four threads make the first calls on a cold table at once, switching
+    # often; one that reads another's half-built Seidel row raises or returns
+    # a wrong E_n.  The reference comes from the convolution 2 E_{m+1} =
+    # sum_k binom(m, k) E_k E_{m-k} (m >= 1), independent of the recurrence.
+    n = 300
+    reference = [1, 1]
+    for m in range(1, n):
+        reference.append(sum(comb(m, k) * reference[k] * reference[m - k] for k in range(m + 1)) // 2)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            monkeypatch.setattr(meshlab.algebra, "_zigzag", ([1], (1,)))
+            barrier = threading.Barrier(4)
+            results = []
+
+            def work():
+                try:
+                    barrier.wait(timeout=60)
+                    results.append(zigzag_numbers(n))
+                except Exception as exc:  # reported below; a thread cannot fail the test
+                    results.append(exc)
+
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [reference] * 4
+            assert zigzag_numbers(n) == reference
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_tangent_secant_accessors():

@@ -24,6 +24,8 @@ from meshlab.cli import (
 )
 from meshlab.distributions import Family, family_polynomial
 from meshlab.permutations import QuadrantSpec
+from meshlab.records import make_record
+from meshlab.verify import SUITE_RUNNERS, SuiteResult, run_suite
 
 
 def run(capsys, *argv):
@@ -474,6 +476,37 @@ def test_verify_closed_forms_strictness(capsys, tmp_path):
     # under --strict the same disagreements fail the run
     code, _, _ = run(capsys, "verify", "--suite", "closed-forms", "--strict")
     assert code == 1
+
+
+def failure_line(tag, r):
+    return (
+        f"  [{tag}] {r['check']} family={r['family']} k={r['k']} n={r['n']} "
+        f"variant={r['variant']}: expected {r['expected']}, got {r['actual']}"
+    )
+
+
+def test_verify_plain_lists_each_failing_adjudication(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "closed-forms")
+    fails = [r for r in run_suite("closed-forms")[0].records if r["verdict"] == "fail"]
+    assert code == 0 and len(fails) == 32
+    assert out.splitlines() == [
+        "suite closed-forms: PASS - 0/0 assertions - 96/128 adjudications agree",
+        *(failure_line("adjudication", r) for r in fails),
+    ]
+
+
+def test_verify_plain_lists_a_failing_assertion(capsys, monkeypatch):
+    records = [
+        make_record("table-row", family=Family.A, n=2, expected=Poly([0, 1]), actual=Poly([0, 1])),
+        make_record("table-row", family=Family.A, n=3, expected=Poly([0, 1]), actual=Poly([1])),
+    ]
+    monkeypatch.setitem(SUITE_RUNNERS, "tables", lambda max_length: SuiteResult("tables", records))
+    code, out, _ = run(capsys, "verify", "--suite", "tables")
+    assert code == 1
+    assert out.splitlines() == [
+        "suite tables: FAIL - 1/2 assertions",
+        "  [FAILURE] table-row family=A k=None n=3 variant=None: expected 0,1, got 1",
+    ]
 
 
 def test_verify_oracle_small(capsys):

@@ -431,9 +431,10 @@ def test_closed_form_verdicts_reflect_reality():
 
 def test_closed_form_check_records():
     records = closed_form_check("p", 1)
+    assert [r["n"] for r in records] == list(range(2, 10))
     assert all(r["verdict"] == "pass" for r in records)
-    records = closed_form_check("q", 2, [3])
-    assert records[0]["verdict"] == "fail"
+    records = closed_form_check("q", 2)
+    assert records[0]["n"] == 3 and records[0]["verdict"] == "fail"
     assert records[0]["expected"] == "2" and records[0]["actual"] == "1"
 
 

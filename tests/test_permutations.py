@@ -13,8 +13,6 @@ from meshlab.permutations import (
     DOWN_UP,
     UP_DOWN,
     QuadrantSpec,
-    check_permutation,
-    classify,
     complement,
     enumerate_alternating,
     is_down_up,
@@ -188,26 +186,9 @@ def test_reverse_complement_class_maps():
 # --- classification --------------------------------------------------------
 
 
-def test_classify_examples():
-    assert classify((1, 4, 2, 3)) is UP_DOWN
-    assert classify((3, 1, 4, 2)) is DOWN_UP
-    assert classify((1, 2, 3, 4)) is None
-    with pytest.raises(ValueError):
-        classify(())
-
-
 def test_length_one_belongs_to_both_classes():
     assert is_up_down((1,))
     assert is_down_up((1,))
-    assert classify((1,)) is UP_DOWN  # canonical tie-break
-
-
-def test_check_permutation():
-    assert check_permutation([3, 1, 2]) == (3, 1, 2)
-    with pytest.raises(ValueError):
-        check_permutation([1, 1, 2])
-    with pytest.raises(ValueError):
-        check_permutation([0, 1])
 
 
 # --- reduce ----------------------------------------------------------------
