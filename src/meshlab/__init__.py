@@ -42,20 +42,3 @@ from .permutations import (
 )
 
 __version__ = "0.1.0"
-
-# The coefficient laws load on first use (PEP 562), so importing the oracle
-# compiles neither coeff_laws nor the reference tables it reads.
-_COEFF_LAWS = frozenset({
-    "double_factorial", "falling_factorial", "level_set", "level_set_brute",
-    "p_value", "p_values", "q_value", "q_values",
-    "r_value", "r_values", "s_value", "s_values",
-})
-
-
-def __getattr__(name: str):
-    if name not in _COEFF_LAWS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import coeff_laws
-
-    value = globals()[name] = getattr(coeff_laws, name)
-    return value

@@ -62,6 +62,8 @@ class Poly:
 
     @classmethod
     def monomial(cls, coeff: Rational, power: int) -> Poly:
+        if power < 0:
+            raise ValueError(f"monomial power must be nonnegative, got {power}")
         return cls([0] * power + [coeff])
 
     @property
@@ -201,6 +203,8 @@ class EgfSeries:
 
     @classmethod
     def constant(cls, value: Poly | Rational, order: int) -> EgfSeries:
+        if order < 0:
+            raise ValueError(f"series order must be nonnegative, got {order}")
         return cls([_coerce(value)] + [_ZERO] * order)
 
     @property
@@ -280,7 +284,9 @@ def solve_linear_ode(
     Y' - f Y - g vanishes identically through order - 1, which tests verify
     in exact arithmetic.
     """
-    if order > 0 and (f.order < order - 1 or g.order < order - 1):
+    if order < 0:
+        raise ValueError(f"series order must be nonnegative, got {order}")
+    if f.order < order - 1 or g.order < order - 1:
         raise ValueError(f"f and g must be defined through order {order - 1}")
     coeffs = [_coerce(y0)]
     for n in range(order):

@@ -44,7 +44,6 @@ from .records import make_record, sole_passing_variant
 MMP_Q1 = QuadrantSpec(1, 0, 0, 0)
 
 UNIT_PATTERNS = {
-    "q1": QuadrantSpec(1, 0, 0, 0),
     "q2": QuadrantSpec(0, 1, 0, 0),
     "q3": QuadrantSpec(0, 0, 1, 0),
     "q4": QuadrantSpec(0, 0, 0, 1),

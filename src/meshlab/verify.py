@@ -99,19 +99,19 @@ def run_tables() -> SuiteResult:
     return result
 
 
-def run_symmetry(max_length: int = 8) -> SuiteResult:
+def run_symmetry(max_length: int) -> SuiteResult:
     result = SuiteResult("symmetry")
     result.records = symmetry_suite(max_length)
     return result
 
 
-def run_oracle(max_length: int = 12) -> SuiteResult:
+def run_oracle(max_length: int) -> SuiteResult:
     result = SuiteResult("oracle")
     result.records = oracle_equivalence(max_length)
     return result
 
 
-def run_egf(order: int = 14, *, sec_power_max_n: int = 5) -> SuiteResult:
+def run_egf(order: int, *, sec_power_max_n: int) -> SuiteResult:
     """
     EGF-route checks: parity grading of the four series, the x = 1
     specialisations against the zigzag reference, the composite closed-form
@@ -153,7 +153,7 @@ def run_egf(order: int = 14, *, sec_power_max_n: int = 5) -> SuiteResult:
     return result
 
 
-def run_coeff_laws(brute_level_max_length: int = 11) -> SuiteResult:
+def run_coeff_laws(brute_level_max_length: int) -> SuiteResult:
     """
     Boundary coefficients for every family row up to index 10, level-set
     laws for k <= 3 (recursion route up to n = 15, oracle route up to
@@ -194,7 +194,7 @@ def run_unimodality() -> SuiteResult:
 
 
 # max_length is the one enumeration budget: every suite that enumerates stops
-# at that length, and without it each suite keeps its own default.  The oracle
+# at that length, and without it at the default given here.  The oracle
 # suite also stops at the guard; a negative guard admits no length, like 0.
 SUITE_RUNNERS = {
     "tables": lambda max_length: run_tables(),
@@ -202,7 +202,7 @@ SUITE_RUNNERS = {
     "oracle": lambda max_length: run_oracle(
         min(max_length or 12, max(brute_force_limit(), 0))
     ),
-    "egf": lambda max_length: run_egf(sec_power_max_n=(max_length or 10) // 2),
+    "egf": lambda max_length: run_egf(14, sec_power_max_n=(max_length or 10) // 2),
     "coeff-laws": lambda max_length: run_coeff_laws(max_length or 11),
     "closed-forms": lambda max_length: run_closed_forms(),
 }

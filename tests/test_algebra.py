@@ -285,6 +285,22 @@ def test_truncate_keeps_orders_zero_through_its_own():
             s.truncate(order)
 
 
+def test_negative_orders_and_powers_are_refused():
+    # order 0 and power 0 are the smallest valid values ...
+    assert Poly.monomial(5, 0) == Poly([5])
+    assert EgfSeries.constant(Poly.one(), 0) == EgfSeries([Poly.one()])
+    zero = EgfSeries.constant(Poly.zero(), 0)
+    assert solve_linear_ode(zero, zero, Poly([7]), 0) == EgfSeries([Poly([7])])
+    # ... and one below must raise, not come back as an order-0 object
+    for bad in (-1, -3):
+        with pytest.raises(ValueError, match=f"must be nonnegative, got {bad}"):
+            Poly.monomial(5, bad)
+        with pytest.raises(ValueError, match=f"must be nonnegative, got {bad}"):
+            EgfSeries.constant(Poly.one(), bad)
+        with pytest.raises(ValueError, match=f"must be nonnegative, got {bad}"):
+            solve_linear_ode(zero, zero, Poly.one(), bad)
+
+
 # --- linear ODE solver -----------------------------------------------------
 
 

@@ -492,6 +492,25 @@ def test_unimodality_mode_location():
     assert unimodality_check(Family.B, 1)[0]["variant"] == "mode at x^0"
 
 
+def test_unimodality_verdicts_on_crafted_rows(monkeypatch):
+    # no real row breaks unimodality, so feed rows that dip before the peak,
+    # rise at the end, or hold plateaus on either side of it
+    rows = {
+        1: ([2, 1, 3], "fail", 2),
+        2: ([3, 1, 2], "fail", 0),
+        3: ([1, 1, 2], "pass", 2),
+        4: ([1, 2, 2, 1], "pass", 1),
+        5: ([0, 0, 1, 2, 2, 1], "pass", 3),
+    }
+    monkeypatch.setattr(
+        meshlab.coeff_laws, "family_polynomial", lambda family, index: Poly(rows[index][0])
+    )
+    records = unimodality_check(Family.A, len(rows))
+    for record, (row, verdict, mode) in zip(records, rows.values()):
+        assert record["verdict"] == verdict, row
+        assert record["variant"] == f"mode at x^{mode}", row
+
+
 # --- structural consequence of the lowest-coefficient law ---------------------
 
 
