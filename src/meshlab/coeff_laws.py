@@ -107,6 +107,11 @@ def _ratio_sum(law, k: int, n: int, seed_m: int, factor) -> Fraction:
     return acc
 
 
+def _check_k(k: int) -> None:
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+
+
 def p_value(k: int, n: int) -> Fraction:
     """
     p_k(n) for n >= k + 1, from the double-sum recursion
@@ -120,6 +125,7 @@ def p_value(k: int, n: int) -> Fraction:
     >>> [p_value(1, n) for n in (2, 3, 4)]
     [Fraction(2, 3), Fraction(2, 1), Fraction(4, 1)]
     """
+    _check_k(k)
     if k == 0:
         return Fraction(1)
     if n < k + 1:
@@ -146,6 +152,7 @@ def q_value(k: int, n: int, variant: str = "statement") -> Fraction:
     >>> q_value(1, 2), q_value(1, 3)
     (Fraction(1, 1), Fraction(8, 3))
     """
+    _check_k(k)
     if variant not in ("statement", "in-proof"):
         raise ValueError(f"unknown variant {variant!r}")
     if k == 0:
@@ -198,6 +205,7 @@ def r_value(k: int, n: int) -> Fraction:
     >>> r_value(1, 2)
     Fraction(3, 2)
     """
+    _check_k(k)
     if n < k + 1:
         raise ValueError(f"r_{k} is defined for n >= {k + 1}")
     return _secant_sum(
@@ -215,6 +223,7 @@ def s_value(k: int, n: int) -> Fraction:
     >>> s_value(1, 3)
     Fraction(5, 1)
     """
+    _check_k(k)
     if n < k + 1:
         raise ValueError(f"s_{k} is defined for n >= {k + 1}")
     return _secant_sum(lambda m, j: p_value(m, n - j), k, 2 * n)
@@ -283,6 +292,7 @@ def level_set(family: Family, n: int, k: int) -> int:
     >>> level_set(Family.C, 3, 1)
     28
     """
+    _check_k(k)
     value = _level_polynomial(family, n).coefficient(level_base(family, n) + k)
     if value.denominator != 1:
         raise ArithmeticError(f"level-set count {value} is not an integer")
@@ -291,6 +301,7 @@ def level_set(family: Family, n: int, k: int) -> int:
 
 def level_set_brute(family: Family, n: int, k: int) -> int:
     """Same count, but from the enumeration oracle instead of the recursion."""
+    _check_k(k)
     poly = dist_brute(level_length(family, n), family.alternating_class, MMP_Q1)
     value = poly.coefficient(level_base(family, n) + k)
     return int(value)

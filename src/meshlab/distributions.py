@@ -50,12 +50,11 @@ UNIT_PATTERNS = {
 }
 
 # Hard guard for the exhaustive oracle.  At length 14 the "python" engine makes
-# ~2 * 10^8 statistic evaluations per class and the default one's subset DP
-# holds about C(14, 7) histogram lists (~2 MB); beyond that you must opt in
-# explicitly.  Specs with quadrants II and III unconstrained run the triangle
-# DP, O(n^2) additions, and do not need the guard; it stays unchanged and
-# applies to every spec alike, so whether a call is refused depends on its
-# length alone.
+# ~2 * 10^8 statistic evaluations per class, and the default one's subset DP
+# fills a 2^14-slot table (tracemalloc peak ~1.2 MB); beyond that you must opt
+# in explicitly.  Specs with quadrants II and III unconstrained run the
+# triangle DP, O(n^2) additions, and need no guard; it applies to every spec
+# alike, so whether a call is refused depends on its length alone.
 DEFAULT_BRUTE_LIMIT = 14
 BRUTE_LIMIT_ENV = "MESHLAB_MAX_BRUTE"
 
@@ -211,21 +210,21 @@ def _dist_brute_incremental(length: int, cls: AlternatingClass, spec: QuadrantSp
     # Every other spec runs the subset DP below.
     #
     # Each position's quadrant counts are fixed the moment its value v lands
-    # at 0-based depth d: with c2 the values already placed above v,
-    #   c3 = d - c2,  c1 = (n - v) - c2,  c4 = (v - 1) - c3,
+    # at 0-based depth d: with k the values already placed below v,
+    #   c3 = k,  c2 = d - k,  c1 = (n - v) - c2,  c4 = (v - 1) - k,
     # each in 0..n-1, so the threshold lists okq[c] (does count c meet
     # quadrant q's requirement?) decide whether the position matches.  Each
-    # depth's steps are (v, bit of v, marks) in sweep order, marks[c2] being
-    # that match.  An unreachable (v, c2) has c1 or c4 negative and reads ok1
-    # or ok4 from the end, but marks[c2] is only read with c2 the true count
-    # above v, where all four counts are in range.  The rest of a word's
-    # statistic thus depends only on its set of placed values `used` (bit
-    # v - 1 marks value v) and its last value, so all prefixes sharing that
-    # state are extended together, one layer per depth: layer[used][r] is
-    # the histogram of the prefixes that place exactly `used` and end at its
-    # value of 0-based rank r, packed w bits per coefficient so that
-    # multiplying by x is a shift.  A state holds at most E_n prefixes (the
-    # arrangements of its values), so no coefficient carries into the next.
+    # depth's steps are (bit of v, marks) in sweep order, marks[k] being that
+    # match; an unreachable (v, k) may read ok1 or ok4 from the end, but
+    # marks[k] is only read with k the true count below v.  The rest of a
+    # word's statistic thus depends only on its set of placed values `used`
+    # (bit v - 1 marks value v) and its last value, so all prefixes sharing
+    # that state are extended together, one depth at a time: table[used][r]
+    # is the histogram of the prefixes that place exactly `used` and end at
+    # its value of 0-based rank r, packed w bits per coefficient so that
+    # multiplying by x is a shift.  masks lists the depth's states, each
+    # freed once read.  A state holds at most E_n prefixes (the arrangements
+    # of its values), so no coefficient carries into the next.
     n = length
     ok1, ok2, ok3, ok4 = (
         [c == 0 if req is None else c >= req for c in range(n)] for req in spec.requirements
@@ -233,36 +232,42 @@ def _dist_brute_incremental(length: int, cls: AlternatingClass, spec: QuadrantSp
     if spec.q2 == 0 and spec.q3 == 0:
         return _dist_brute_triangle(n, cls, ok1, ok4)
     w = zigzag_numbers(n)[n].bit_length()
-    layer: dict[int, list[int]] = {0: []}
+    table: list[list[int] | None] = [[]] + [None] * ((1 << n) - 1)
+    masks = [0]
     for d in range(n):
-        # Sweep v so that acc has passed exactly the values v may follow.
+        # Sweep v so that acc has passed exactly the values v may follow and
+        # k counts the placed values below v: v lands at rank k.
         rising = cls.rises_into(d)
         steps = [
-            (v, 1 << (v - 1), [
-                ok1[n - v - c2] and ok2[c2] and ok3[d - c2] and ok4[v - 1 - d + c2]
-                for c2 in range(d + 1)
+            (1 << (v - 1), [
+                ok1[n - v - d + k] and ok2[d - k] and ok3[k] and ok4[v - 1 - k]
+                for k in range(d + 1)
             ])
             for v in (range(1, n + 1) if rising else range(n, 0, -1))
         ]
-        grown: dict[int, list[int]] = {}
-        while layer:  # popitem frees the old layer as the new one fills
-            used, ends = layer.popitem()
-            members = iter(ends) if rising else reversed(ends)
+        grown = []
+        for used in masks:
+            ends = table[used]
+            table[used] = None
             acc = 0 if used else 1  # any value may open the word
-            for v, bit, marks in steps:
+            k = 0 if rising else d
+            for bit, marks in steps:
                 if used & bit:
-                    acc += next(members)
+                    if rising:
+                        acc += ends[k]
+                        k += 1
+                    else:
+                        k -= 1
+                        acc += ends[k]
                 elif acc:
                     succ = used | bit
-                    slot = grown.get(succ)
+                    slot = table[succ]
                     if slot is None:
-                        slot = grown[succ] = [0] * (d + 1)
-                    c2 = (used >> v).bit_count()
-                    # d - c2 placed values lie below v: its rank in succ
-                    slot[d - c2] = acc << w if marks[c2] else acc
-        layer = grown
-    (ends,) = layer.values()
-    return _unpacked(sum(ends), w, n)
+                        slot = table[succ] = [0] * (d + 1)
+                        grown.append(succ)
+                    slot[k] = acc << w if marks[k] else acc
+        masks = grown
+    return _unpacked(sum(table[-1]), w, n)  # the one state left places all n
 
 
 _ENGINES = {"incremental": _dist_brute_incremental, "python": _dist_brute_python}

@@ -246,7 +246,7 @@ def enumerate_alternating(n: int, cls: AlternatingClass) -> Iterator[Perm]:
             yield tuple(prefix)
             return
         prev = prefix[-1] if prefix else None
-        rising = cls.rises_into(depth) if depth > 0 else None
+        rising = cls.rises_into(depth)
         for v in range(1, n + 1):
             if used[v]:
                 continue

@@ -88,6 +88,18 @@ def test_level_set_matches_brute_force():
                 assert level_set(family, n, k) == level_set_brute(family, n, k)
 
 
+def test_level_sets_refuse_a_negative_k_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("computed a row before checking k")
+
+    monkeypatch.setattr(meshlab.coeff_laws, "_level_polynomial", no_work)
+    monkeypatch.setattr(meshlab.coeff_laws, "dist_brute", no_work)
+    for count in (level_set, level_set_brute):
+        with pytest.raises(ValueError, match=r"^k must be nonnegative, got -1$"):
+            count(Family.A, 2, -1)
+    assert p_values(1, -3) == []  # an empty range is no error
+
+
 def test_level_set_refuses_non_integral_count(monkeypatch):
     # a bare assert would vanish under python -O and int() would truncate
     monkeypatch.setattr(
@@ -342,12 +354,14 @@ def test_cold_long_row_recurses_only_in_k(fresh_sums):
 DOMAIN_ERRORS = [
     (p_value, (2, 2), "p_2 is defined for n >= 3"),
     (p_value, (3, -7), "p_3 is defined for n >= 4"),
-    (p_value, (-2, -5), "p_-2 is defined for n >= -1"),
-    (p_value, (-1, 3), "tangent numbers live at odd indices, got -1"),
+    (p_value, (-2, -5), "k must be nonnegative, got -2"),
+    (p_value, (-1, 3), "k must be nonnegative, got -1"),
     (q_value, (1, 1), "q_1 is defined for n >= 2"),
     (q_value, (1, 1, "in-proof"), "q_1 is defined for n >= 2"),
-    (q_value, (-1, 3), "tangent numbers live at odd indices, got -1"),
-    (q_value, (-3, 0, "in-proof"), "tangent numbers live at odd indices, got -5"),
+    (q_value, (-1, 3), "k must be nonnegative, got -1"),
+    (q_value, (-3, 0, "in-proof"), "k must be nonnegative, got -3"),
+    (r_value, (-1, 2), "k must be nonnegative, got -1"),
+    (s_value, (-1, 2), "k must be nonnegative, got -1"),
     (q_value, (1, 3, "folklore"), "unknown variant 'folklore'"),
     (q_value, (0, 1, "folklore"), "unknown variant 'folklore'"),
 ]

@@ -636,6 +636,25 @@ def test_oracle_at_benchmark_scale_is_pinned():
     assert digests == ORACLE_12_DIGESTS
 
 
+SUBSET_DP_13_14_DIGESTS = {
+    "MMP(1,0,e,2)-ud": "8bfcafc6269fc749a99eba59dae4ca902222a37823e6b3b585b66a916478ce78",
+    "MMP(1,0,e,2)-du": "3dd3a3cb136cd1b3d0393bc5092c5d61b1d9f2292aaa3f4bd0565e9b12aa51cc",
+    "MMP(e,2,0,1)-ud": "f0108351049fbc933dd27e61d40d71983976a6b66197def2f2ff72d0a839c727",
+    "MMP(e,2,0,1)-du": "d2a5f16ccb01c4d1dd6080cf87f29199658a85713f7709f4535c6c4078fa5af1",
+}
+
+
+def test_subset_dp_past_length_twelve_is_pinned():
+    # 2^13 and 2^14 states; both classes, so both sweep directions run at
+    # every depth
+    digests = {}
+    for spec in (QuadrantSpec(1, 0, None, 2), QuadrantSpec(None, 2, 0, 1)):
+        for cls in (UP_DOWN, DOWN_UP):
+            text = repr([dist_brute(length, cls, spec, force=True).coeffs for length in (13, 14)])
+            digests[f"{spec}-{cls.value}"] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == SUBSET_DP_13_14_DIGESTS
+
+
 def test_headline_theorems_against_the_oracle_past_length_twelve():
     # A(t) = sec(xt)^{1/x} and D(t) = int_0^t sec(xz)^{1+1/x} dz, coefficient
     # by coefficient, at lengths the oracle suites do not reach by default;
