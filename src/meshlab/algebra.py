@@ -130,8 +130,6 @@ class Poly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == _coerce(other)
         return NotImplemented
 
     def __hash__(self) -> int:

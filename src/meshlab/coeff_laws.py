@@ -192,7 +192,6 @@ def _secant_sum(law, k: int, top: int) -> Fraction:
     return acc
 
 
-@cache
 def r_value(k: int, n: int) -> Fraction:
     """
     r_k(n) = sum_{j=0}^{k} S_{2j} prod_{s=1}^{j} (2n+1-2s) / (2j)!
@@ -214,7 +213,6 @@ def r_value(k: int, n: int) -> Fraction:
     )
 
 
-@cache
 def s_value(k: int, n: int) -> Fraction:
     """
     s_k(n) = sum_{j=0}^{k} S_{2j} prod_{s=1}^{j} (2n+2-2s) / (2j)!
@@ -252,25 +250,26 @@ def s_values(k: int, n_max: int) -> list[Fraction]:
 
 
 # The module docstring's table, at level parameter n: the ratio law's letter
-# and value function, row length 2n + length, base exponent n + base,
-# multiplier (2n + multiplier)!! and top term x^(L - top) in a row of length L.
-_Level = namedtuple("_Level", "letter law length base multiplier top")
+# and value function, base exponent n + base, multiplier (2n + multiplier)!!
+# and top term x^(L - top) in a row of length L.  Level n is the family row of
+# index n + Family.min_index(), of length 2n + min_index().
+_Level = namedtuple("_Level", "letter law base multiplier top")
 
 _LEVELS = {
-    Family.A: _Level("p", p_value, 0, 0, -1, 1),
-    Family.B: _Level("q", q_value, 1, 0, 0, 2),
-    Family.C: _Level("r", r_value, 0, -1, -2, 2),
-    Family.D: _Level("s", s_value, 1, 0, -1, 1),
+    Family.A: _Level("p", p_value, 0, -1, 1),
+    Family.B: _Level("q", q_value, 0, 0, 2),
+    Family.C: _Level("r", r_value, -1, -2, 2),
+    Family.D: _Level("s", s_value, 0, -1, 1),
 }
 _FAMILY_OF_LAW = {row.letter: family for family, row in _LEVELS.items()}
 
 
 def _level_polynomial(family: Family, n: int) -> Poly:
-    return family_polynomial(family, family.index_for_length(level_length(family, n)))
+    return family_polynomial(family, n + family.min_index())
 
 
 def level_length(family: Family, n: int) -> int:
-    return 2 * n + _LEVELS[family].length
+    return 2 * n + family.min_index()
 
 
 def level_base(family: Family, n: int) -> int:
@@ -328,7 +327,7 @@ def lowest_coefficient_check(family: Family, index: int) -> dict:
     if index < 1:
         raise ValueError(f"boundary checks need index >= 1, got {index}")
     poly = family_polynomial(family, index)
-    n = index - level_length(family, 0)
+    n = index - family.min_index()
     base, expected = level_base(family, n), level_multiplier(family, n)
     below_ok = all(poly.coefficient(e) == 0 for e in range(base))
     return make_record(

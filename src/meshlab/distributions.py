@@ -43,12 +43,6 @@ from .records import make_record, sole_passing_variant
 
 MMP_Q1 = QuadrantSpec(1, 0, 0, 0)
 
-UNIT_PATTERNS = {
-    "q2": QuadrantSpec(0, 1, 0, 0),
-    "q3": QuadrantSpec(0, 0, 1, 0),
-    "q4": QuadrantSpec(0, 0, 0, 1),
-}
-
 # Hard guard for the exhaustive oracle.  At length 14 the "python" engine makes
 # ~2 * 10^8 statistic evaluations per class, and the default one's subset DP
 # fills a 2^14-slot table (tracemalloc peak ~1.2 MB); beyond that you must opt
@@ -420,11 +414,12 @@ def sec_t_power_of_x(order: int, /) -> EgfSeries:
 # to reproduce that family's polynomial.  Reversal preserves the alternating
 # class at odd length and swaps it at even length; complementation always
 # swaps, which is why the even and odd chains differ.
-_SYMMETRY_CHAINS: dict[Family, list[tuple[str, AlternatingClass]]] = {
-    Family.A: [("q2", DOWN_UP), ("q4", DOWN_UP), ("q3", UP_DOWN)],
-    Family.C: [("q2", UP_DOWN), ("q4", UP_DOWN), ("q3", DOWN_UP)],
-    Family.B: [("q2", UP_DOWN), ("q4", DOWN_UP), ("q3", DOWN_UP)],
-    Family.D: [("q2", DOWN_UP), ("q4", UP_DOWN), ("q3", UP_DOWN)],
+_Q2, _Q3, _Q4 = QuadrantSpec(0, 1, 0, 0), QuadrantSpec(0, 0, 1, 0), QuadrantSpec(0, 0, 0, 1)
+_SYMMETRY_CHAINS: dict[Family, list[tuple[QuadrantSpec, AlternatingClass]]] = {
+    Family.A: [(_Q2, DOWN_UP), (_Q4, DOWN_UP), (_Q3, UP_DOWN)],
+    Family.C: [(_Q2, UP_DOWN), (_Q4, UP_DOWN), (_Q3, DOWN_UP)],
+    Family.B: [(_Q2, UP_DOWN), (_Q4, DOWN_UP), (_Q3, DOWN_UP)],
+    Family.D: [(_Q2, DOWN_UP), (_Q4, UP_DOWN), (_Q3, UP_DOWN)],
 }
 
 
@@ -438,8 +433,8 @@ def symmetry_suite(max_length: int, *, workers: int = 1) -> list[dict]:
         for cls in (UP_DOWN, DOWN_UP):
             family = family_for(length, cls)
             base = dist_brute(length, cls, MMP_Q1, workers=workers)
-            for name, other_cls in _SYMMETRY_CHAINS[family]:
-                other = dist_brute(length, other_cls, UNIT_PATTERNS[name], workers=workers)
+            for spec, other_cls in _SYMMETRY_CHAINS[family]:
+                other = dist_brute(length, other_cls, spec, workers=workers)
                 records.append(
                     make_record(
                         "symmetry-chain",
@@ -447,7 +442,7 @@ def symmetry_suite(max_length: int, *, workers: int = 1) -> list[dict]:
                         n=family.index_for_length(length),
                         expected=base,
                         actual=other,
-                        variant=f"{UNIT_PATTERNS[name]} over {other_cls.value}",
+                        variant=f"{spec} over {other_cls.value}",
                     )
                 )
     return records

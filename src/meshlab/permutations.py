@@ -184,7 +184,11 @@ class AlternatingClass(enum.Enum):
     DOWN_UP = "du"
 
     def rises_into(self, j: int) -> bool:
-        """Whether the step into 0-based position j >= 1 must be an ascent."""
+        """
+        Whether the step into 0-based position j must be an ascent.  At j = 0
+        it is the step from a virtual opening value: True means an ascent from
+        0 (a down-up word), False a descent from n + 1 (an up-down word).
+        """
         return j % 2 == (1 if self is AlternatingClass.UP_DOWN else 0)
 
 

@@ -100,15 +100,11 @@ def run_tables() -> SuiteResult:
 
 
 def run_symmetry(max_length: int) -> SuiteResult:
-    result = SuiteResult("symmetry")
-    result.records = symmetry_suite(max_length)
-    return result
+    return SuiteResult("symmetry", symmetry_suite(max_length))
 
 
 def run_oracle(max_length: int) -> SuiteResult:
-    result = SuiteResult("oracle")
-    result.records = oracle_equivalence(max_length)
-    return result
+    return SuiteResult("oracle", oracle_equivalence(max_length))
 
 
 def run_egf(order: int, *, sec_power_max_n: int) -> SuiteResult:
@@ -211,9 +207,7 @@ SUITE_RUNNERS = {
 def run_suite(name: str, *, max_length: int | None = None) -> list[SuiteResult]:
     """Run one suite by name, or all of them."""
     if name == "all":
-        return [run_suite(suite, max_length=max_length)[0] for suite in SUITE_RUNNERS]
-    if name not in SUITE_RUNNERS:
-        raise KeyError(name)
+        return [runner(max_length) for runner in SUITE_RUNNERS.values()]
     return [SUITE_RUNNERS[name](max_length)]
 
 

@@ -69,6 +69,21 @@ def test_poly_normalisation():
     assert hash(Poly([3])) == hash(Poly([Fraction(3)]))
 
 
+def test_poly_equals_only_polys():
+    # equal objects must hash equal, and hash(Poly([3])) != hash(3), so a
+    # Poly never equals a scalar; compare p.coefficient(0) or Poly(value)
+    assert Poly([3]) != 3 and 3 != Poly([3])
+    assert Poly() != 0 and Poly([Fraction(1, 2)]) != Fraction(1, 2)
+    assert len({Poly([3]), 3, Poly(), 0}) == 4
+    assert Poly([3]) == Poly([3]) and Poly() == Poly.zero()
+
+
+@given(polys())
+def test_equal_polys_hash_equal(p):
+    for twin in (Poly([*p.coeffs, 0, 0]), Poly([Fraction(c) for c in p.coeffs]), p + 0):
+        assert twin == p and hash(twin) == hash(p)
+
+
 def test_poly_public_values_stay_fractions():
     p = Poly([0, 0, 3, 2])
     assert type(p.coefficient(3)) is Fraction and p.coefficient(3) == 2

@@ -411,6 +411,13 @@ def test_brute_bad_pattern(capsys):
     assert code == 2 and "pattern" in err
 
 
+def test_brute_bad_pattern_entry_is_named(capsys):
+    code, out, err = run(
+        capsys, "brute", "--length", "3", "--class", "ud", "--pattern", "1,x,0,0"
+    )
+    assert (code, out, err) == (2, "", "error: bad pattern entry 'x'\n")
+
+
 def test_brute_negative_length_is_usage_error(capsys):
     code, _, err = run(
         capsys, "brute", "--length", "-2", "--class", "ud", "--pattern", "1,0,0,0"
@@ -620,6 +627,42 @@ def test_verify_report_to_an_unwritable_path_is_an_error(tmp_path):
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
     assert not report.exists()
+
+
+def test_verify_guard_refusal_prints_no_suite_line(capsys, monkeypatch):
+    monkeypatch.setenv("MESHLAB_MAX_BRUTE", "6")
+    code, out, err = run(capsys, "verify", "--suite", "symmetry", "--max-length", "8")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: brute-force enumeration of length 7 exceeds the guard (6); "
+        "pass force=True or raise MESHLAB_MAX_BRUTE\n"
+    )
+
+
+def test_verify_unwritable_report_in_process(capsys, tmp_path):
+    report = tmp_path / "missing" / "r.json"
+    code, out, err = run(capsys, "verify", "--suite", "tables", "--report", str(report))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write report {report}: ") and err.count("\n") == 1
+
+
+def test_run_suite_unknown_name_is_a_key_error():
+    with pytest.raises(KeyError) as excinfo:
+        run_suite("bogus")
+    assert excinfo.value.args == ("bogus",)
+
+
+def test_run_suite_all_runs_each_suite_once_in_order(monkeypatch):
+    calls = []
+    for name in SUITE_RUNNERS:
+        monkeypatch.setitem(
+            SUITE_RUNNERS, name,
+            lambda max_length, name=name: calls.append((name, max_length)) or SuiteResult(name),
+        )
+    results = run_suite("all", max_length=5)
+    assert [r.name for r in results] == list(SUITE_RUNNERS)
+    assert calls == [(name, 5) for name in SUITE_RUNNERS]
+    assert [r.name for r in run_suite("egf")] == ["egf"]
 
 
 def test_verify_usage_error():

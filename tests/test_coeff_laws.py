@@ -150,6 +150,23 @@ def test_level_parameterisation_matches_the_docstring_table():
             assert level_multiplier(family, n) == double_factorial(multiplier(n))
 
 
+def test_level_n_is_the_family_row_of_index_n_plus_min_index():
+    for family in Family:
+        for n in range(8):
+            index = n + family.min_index()
+            assert level_length(family, n) == family.length(index)
+            assert meshlab.coeff_laws._level_polynomial(family, n) == (
+                family_polynomial(family, index)
+            )
+        # below level 0 there is no row, by either route
+        for n in (-1, -2):
+            floor = rf"^family {family.value} needs index >= {family.min_index()}$"
+            with pytest.raises(ValueError, match=floor):
+                level_set(family, n, 0)
+            with pytest.raises(ValueError, match=r"^length must be nonnegative$"):
+                level_set_brute(family, n, 0)
+
+
 def test_boundary_spot_values():
     ee = zigzag_numbers(13)
     # lowest coefficients
@@ -417,6 +434,11 @@ def test_level_laws_brute_route():
         for k in range(0, 3):
             records = level_law_check(family, k, n_max, source="brute")
             assert all(r["verdict"] == "pass" for r in records)
+
+
+def test_level_law_check_refuses_an_unknown_source():
+    with pytest.raises(ValueError, match=r"^unknown source 'bogus'$"):
+        level_law_check(Family.A, 1, 3, source="bogus")
 
 
 def test_level_law_value_units():
