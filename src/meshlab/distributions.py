@@ -46,9 +46,11 @@ MMP_Q1 = QuadrantSpec(1, 0, 0, 0)
 # Hard guard for the exhaustive oracle.  At length 14 the "python" engine makes
 # ~2 * 10^8 statistic evaluations per class, and the default one's subset DP
 # fills a 2^14-slot table (tracemalloc peak ~1.2 MB); beyond that you must opt
-# in explicitly.  Specs with quadrants II and III unconstrained run the
-# triangle DP, O(n^2) additions, and need no guard; it applies to every spec
-# alike, so whether a call is refused depends on its length alone.
+# in explicitly.  Of the default engine's three paths only that subset DP
+# needs it: specs with quadrants II and III unconstrained run the triangle
+# DP, O(n^2) additions, and specs whose II and III ask e, 0 or 1 the
+# extremes DP, O(n^4) steps.  The guard applies to every spec alike, so
+# whether a call is refused depends on its length alone.
 DEFAULT_BRUTE_LIMIT = 14
 BRUTE_LIMIT_ENV = "MESHLAB_MAX_BRUTE"
 
@@ -198,10 +200,63 @@ def _dist_brute_triangle(n: int, cls: AlternatingClass, ok1: list[bool], ok4: li
     return _unpacked(ends[0], w, n)
 
 
+def _dist_brute_extremes(
+    n: int, cls: AlternatingClass, ok1: list[bool], ok4: list[bool], q2: int | None, q3: int | None
+) -> Poly:
+    # For q2 and q3 in {None, 0, 1}, quadrants II and III ask at most whether
+    # some earlier value lies above or below v, so the triangle's state
+    # needs only the largest and smallest placed values beside it.  A prefix
+    # is grouped by (k, g, h): k unplaced values lie below its last value (as
+    # in the triangle), g above its largest placed value and h below its
+    # smallest (n each while nothing is placed).  Placing the unplaced value
+    # of rank j among r, with u = r - 1 - j unplaced values above it:
+    #   * it needs j >= k on an ascent and j < k on a descent; k' = j;
+    #   * c1 = u and c4 = j, as in the triangle; c2 >= 1 iff u >= g (v lies
+    #     below the largest placed value) and c3 >= 1 iff j >= h;
+    #   * g' = g if u >= g, else u (v is the new largest), and h' = h if
+    #     j >= h, else j.
+    # A quadrant whose requirement is 0 asks nothing, so its extreme is not
+    # tracked and stays n.  groups[g, h] is the packed histogram vector over
+    # k, and each depth is one running sum per group, as in the triangle.  A
+    # slot merges prefixes over different placed sets, just as the
+    # triangle's slots do, so the triangle's field width w holds every
+    # coefficient.
+    ok2, ok3 = ((q != 1, q is not None) for q in (q2, q3))  # indexed by count >= 1
+    ee = zigzag_numbers(n)
+    w = max(comb(n, d) * ee[d] for d in range(n + 1)).bit_length()
+    start = [0] * (n + 1)
+    start[0 if cls.rises_into(0) else n] = 1
+    groups = {(n, n): start}
+    for d in range(n):
+        r = n - d
+        rising = cls.rises_into(d)
+        marks = [ok1[r - 1 - j] and ok4[j] for j in range(r)]
+        grown: dict[tuple[int, int], list[int]] = {}
+        for (g, h), ends in groups.items():
+            if rising:
+                sums = accumulate(ends[:r])  # gaps 0..j
+            else:
+                sums = reversed(list(accumulate(ends[:0:-1])))  # gaps j+1..r
+            for j, s in enumerate(sums):
+                if not s:
+                    continue
+                u = r - 1 - j
+                top, bottom = u < g, j < h
+                key = (u if top and q2 != 0 else g, j if bottom and q3 != 0 else h)
+                slot = grown.get(key)
+                if slot is None:
+                    slot = grown[key] = [0] * r
+                slot[j] += s << w if marks[j] and ok2[not top] and ok3[not bottom] else s
+        groups = grown
+    return _unpacked(sum(ends[0] for ends in groups.values()), w, n)
+
+
 def _dist_brute_incremental(length: int, cls: AlternatingClass, spec: QuadrantSpec) -> Poly:
     # Specs that read nothing from quadrants II and III need only the rank
     # of the last value among the unplaced ones: see _dist_brute_triangle.
-    # Every other spec runs the subset DP below.
+    # Specs that ask at most "empty or not" of each (requirements e, 0 or 1)
+    # need the largest and smallest placed values too: see
+    # _dist_brute_extremes.  Every other spec runs the subset DP below.
     #
     # Each position's quadrant counts are fixed the moment its value v lands
     # at 0-based depth d: with k the values already placed below v,
@@ -225,6 +280,8 @@ def _dist_brute_incremental(length: int, cls: AlternatingClass, spec: QuadrantSp
     )
     if spec.q2 == 0 and spec.q3 == 0:
         return _dist_brute_triangle(n, cls, ok1, ok4)
+    if spec.q2 in (None, 0, 1) and spec.q3 in (None, 0, 1):
+        return _dist_brute_extremes(n, cls, ok1, ok4, spec.q2, spec.q3)
     w = zigzag_numbers(n)[n].bit_length()
     table: list[list[int] | None] = [[]] + [None] * ((1 << n) - 1)
     masks = [0]
@@ -283,12 +340,16 @@ def dist_brute(
     Lengths above the guard (see brute_force_limit) raise
     BruteForceLimitError unless force=True.  engine selects one of:
 
-      * "incremental" (the default): when the spec leaves quadrants II and
-        III unconstrained (MMP(a,0,0,d), the quadrant-I statistic among
-        them), it extends together all words whose last value has the same
-        rank among the values not yet placed: the boustrophedon triangle,
-        n(n+1)/2 additions.  Any other spec extends together all words that
-        share their placed values and last value, O(n^2 2^n) steps;
+      * "incremental" (the default), by one of three paths.  When the spec
+        leaves quadrants II and III unconstrained (MMP(a,0,0,d), the
+        quadrant-I statistic among them), it extends together all words
+        whose last value has the same rank among the values not yet placed:
+        the boustrophedon triangle, n(n+1)/2 additions.  When II and III
+        each ask e, 0 or 1 (MMP(1,0,e,0) among them), it also groups the
+        words by how many unplaced values lie above their largest and below
+        their smallest placed value, O(n^4) steps.  Any other spec extends
+        together all words that share their placed values and last value,
+        O(n^2 2^n) steps;
       * "python": the literal reference, mmp_count on every generated word.
 
     Any other engine raises ValueError; a histogram that does not sum to the

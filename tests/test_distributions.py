@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import meshlab.distributions
 from meshlab.algebra import EgfSeries, Poly, solve_linear_ode, tan_series, zigzag_numbers
 from meshlab.distributions import (
-    DEFAULT_BRUTE_LIMIT,
     MMP_Q1,
     BruteForceLimitError,
     Family,
@@ -106,6 +105,28 @@ def test_incremental_engine_runs_the_triangle_when_quadrants_two_and_three_are_f
         assert routed == ([5] if reqs[1:3] == (0, 0) else []), reqs
 
 
+def test_incremental_engine_runs_the_extremes_dp_when_quadrants_two_and_three_ask_at_most_one(
+    monkeypatch,
+):
+    # requirements e, 0 or 1 in quadrants II and III, not both 0 (the
+    # triangle's case), run the extremes DP; a 2 in either runs the subset DP
+    routed = []
+    extremes = meshlab.distributions._dist_brute_extremes
+
+    def spy(n, cls, ok1, ok4, q2, q3):
+        routed.append(n)
+        return extremes(n, cls, ok1, ok4, q2, q3)
+
+    monkeypatch.setattr(meshlab.distributions, "_dist_brute_extremes", spy)
+    small = (None, 0, 1)
+    for reqs in itertools.product((None, 0, 1, 2), repeat=4):
+        routed.clear()
+        dist_brute(5, DOWN_UP, QuadrantSpec(*reqs))
+        b, c = reqs[1:3]
+        runs = b in small and c in small and (b, c) != (0, 0)
+        assert routed == ([5] if runs else []), reqs
+
+
 def test_worker_partitioning_is_exact():
     for cls in (UP_DOWN, DOWN_UP):
         lone = dist_brute(8, cls, MMP_Q1, workers=1)
@@ -135,9 +156,11 @@ def test_incremental_engine_matches_reference(length, cls, reqs):
 @pytest.mark.parametrize("length", range(9))
 def test_incremental_engine_on_short_words(length):
     # 9 exceeds every quadrant count, so each quadrant runs its "empty",
-    # "at least k" and "never met" threshold entries.  Past length 5 only
-    # the specs with quadrants II and III unconstrained run (the triangle
-    # DP); the literal engine makes the rest too slow to run them all
+    # "at least k" and "never met" threshold entries.  Up to length 5 every
+    # spec runs, so all three DPs (triangle, extremes, subset) meet the
+    # reference there.  Past length 5 only the specs with quadrants II and
+    # III unconstrained run (the triangle DP); the literal engine makes the
+    # rest too slow to run them all
     entries = (None, 0, 1, 2, 9)
     middles = itertools.product(entries, repeat=2) if length <= 5 else [(0, 0)]
     for (b, c), (a, d) in itertools.product(middles, itertools.product(entries, repeat=2)):
@@ -146,7 +169,8 @@ def test_incremental_engine_on_short_words(length):
 
 
 @pytest.mark.parametrize("spec", [
-    QuadrantSpec(1, 0, None, 2), QuadrantSpec(None, 2, 0, 1),  # the subset DP
+    QuadrantSpec(None, 2, 0, 1),  # the subset DP
+    QuadrantSpec(1, 0, None, 2),  # the extremes DP
     QuadrantSpec(2, 0, 0, 1), QuadrantSpec(None, 0, 0, 2),  # the triangle DP
 ])
 @pytest.mark.parametrize("cls", [UP_DOWN, DOWN_UP])
@@ -158,21 +182,21 @@ def test_incremental_engine_at_length_nine(cls, spec):
 def test_packed_histogram_boundaries(cls):
     # The default engine packs the coefficients of a histogram into fixed
     # fields: E_n.bit_length() bits in the subset DP, where a state holds at
-    # most E_n words, and the wider max_d C(n, d) E_d bits in the triangle DP,
-    # whose slots merge prefixes over every set of placed values.  The
-    # all-zero spec puts all E_n words on x^n (the top field), the all-empty
-    # spec puts them on x^0 once n >= 2.  The two triangle specs also run
-    # past the guard, to length 20.
+    # most E_n words, and the wider max_d C(n, d) E_d bits in the triangle
+    # and extremes DPs, whose slots merge prefixes over every set of placed
+    # values.  The all-zero spec (the triangle DP) puts all E_n words on x^n
+    # (the top field), the all-empty spec (the extremes DP) puts them on x^0
+    # once n >= 2.  All three specs run past the guard, to length 20.
     top = 20
     ee = zigzag_numbers(top)
     for length in range(1, top + 1):
         assert dist_brute(length, cls, QuadrantSpec(0, 0, 0, 0), force=True) == Poly.monomial(
             ee[length], length
         )
-        if 2 <= length <= DEFAULT_BRUTE_LIMIT:
-            assert dist_brute(length, cls, QuadrantSpec(None, None, None, None)) == Poly(
-                [ee[length]]
-            )
+        if length >= 2:
+            assert dist_brute(
+                length, cls, QuadrantSpec(None, None, None, None), force=True
+            ) == Poly([ee[length]])
         family = family_for(length, cls)
         assert dist_brute(length, cls, MMP_Q1, force=True) == family_polynomial(
             family, family.index_for_length(length)
@@ -255,13 +279,27 @@ def test_reverse_complement_symmetry_at_long_lengths(length, cls, reqs):
 @pytest.mark.parametrize("length", [10, 11, 12])
 def test_triangle_dp_against_the_subset_dp_by_reverse_complement(length):
     # reverse-complement takes MMP(a,0,0,d), which the triangle DP counts,
-    # to MMP(0,d,a,0), which the subset DP counts whenever a or d is set
+    # to MMP(0,d,a,0), which the subset DP counts whenever a or d is 2 or 9,
+    # and the extremes DP whenever a and d are e, 0 or 1, not both 0
     entries = (None, 0, 1, 2, 9)
     for a, d in itertools.product(entries, repeat=2):
         for cls in (UP_DOWN, DOWN_UP):
             assert dist_brute(length, cls, QuadrantSpec(a, 0, 0, d)) == dist_brute(
                 length, rc_class(length, cls), QuadrantSpec(0, d, a, 0)
             ), (a, d, cls)
+
+
+@pytest.mark.parametrize("length", [10, 11, 12])
+def test_extremes_dp_against_the_subset_dp_by_reverse_complement(length):
+    # reverse-complement takes MMP(a,b,c,d) with b and c in {e, 0, 1}, which
+    # the extremes DP counts (the triangle when b = c = 0), to MMP(c,d,a,b),
+    # which the subset DP counts because a or d is 2
+    outer = ((2, None), (2, 1), (None, 2), (0, 2))
+    for (b, c), (a, d) in itertools.product(itertools.product((None, 0, 1), repeat=2), outer):
+        for cls in (UP_DOWN, DOWN_UP):
+            assert dist_brute(length, cls, QuadrantSpec(a, b, c, d)) == dist_brute(
+                length, rc_class(length, cls), QuadrantSpec(c, d, a, b)
+            ), (a, b, c, d, cls)
 
 
 def test_brute_guard(monkeypatch):
@@ -637,22 +675,40 @@ def test_oracle_at_benchmark_scale_is_pinned():
 
 
 SUBSET_DP_13_14_DIGESTS = {
-    "MMP(1,0,e,2)-ud": "8bfcafc6269fc749a99eba59dae4ca902222a37823e6b3b585b66a916478ce78",
-    "MMP(1,0,e,2)-du": "3dd3a3cb136cd1b3d0393bc5092c5d61b1d9f2292aaa3f4bd0565e9b12aa51cc",
     "MMP(e,2,0,1)-ud": "f0108351049fbc933dd27e61d40d71983976a6b66197def2f2ff72d0a839c727",
     "MMP(e,2,0,1)-du": "d2a5f16ccb01c4d1dd6080cf87f29199658a85713f7709f4535c6c4078fa5af1",
+    "MMP(1,e,2,0)-ud": "9ab639fa409a4a585db6c007f6b489563b063f6ed4098909b4f250389f151a5c",
+    "MMP(1,e,2,0)-du": "45311789f2b8e759781c948a45218f680ff55077fb140d605ad664c8b71bf48e",
+}
+EXTREMES_DP_13_14_DIGESTS = {
+    "MMP(1,0,e,2)-ud": "8bfcafc6269fc749a99eba59dae4ca902222a37823e6b3b585b66a916478ce78",
+    "MMP(1,0,e,2)-du": "3dd3a3cb136cd1b3d0393bc5092c5d61b1d9f2292aaa3f4bd0565e9b12aa51cc",
+    "MMP(1,0,e,0)-ud": "4367043e387cd3d77998e3fc53b537a2b34aa043f3ad5ce45bba323261bbaf05",
+    "MMP(1,0,e,0)-du": "214a61c852bf81527d8c02d1062549d194a6c2a22ab7c1050b22295cb1142470",
 }
 
 
-def test_subset_dp_past_length_twelve_is_pinned():
-    # 2^13 and 2^14 states; both classes, so both sweep directions run at
-    # every depth
+def digests_at_13_and_14(specs) -> dict[str, str]:
     digests = {}
-    for spec in (QuadrantSpec(1, 0, None, 2), QuadrantSpec(None, 2, 0, 1)):
+    for spec in specs:
         for cls in (UP_DOWN, DOWN_UP):
             text = repr([dist_brute(length, cls, spec, force=True).coeffs for length in (13, 14)])
             digests[f"{spec}-{cls.value}"] = hashlib.sha256(text.encode()).hexdigest()
-    assert digests == SUBSET_DP_13_14_DIGESTS
+    return digests
+
+
+def test_subset_dp_past_length_twelve_is_pinned():
+    # a 2 in quadrant II or III runs the subset DP: 2^13 and 2^14 states;
+    # both classes, so both sweep directions run at every depth
+    specs = (QuadrantSpec(None, 2, 0, 1), QuadrantSpec(1, None, 2, 0))
+    assert digests_at_13_and_14(specs) == SUBSET_DP_13_14_DIGESTS
+
+
+def test_extremes_dp_past_length_twelve_is_pinned():
+    # quadrant II asks 0 and III e, so these run the extremes DP; the digests
+    # are the subset DP's histograms for the same inputs
+    specs = (QuadrantSpec(1, 0, None, 2), QuadrantSpec(1, 0, None, 0))
+    assert digests_at_13_and_14(specs) == EXTREMES_DP_13_14_DIGESTS
 
 
 def test_headline_theorems_against_the_oracle_past_length_twelve():

@@ -6,8 +6,9 @@ Single-mutant testing with the standard library's ast module only.
 
 Each mutant changes one node inside the named functions (a method is named
 Class.method; nested functions count as part of their outer one): a
-comparison flipped (< <=, > >=, == !=, is / is not), an arithmetic operator
-swapped (+ -, * //, << >>) or an int constant moved by one either way.  The
+comparison flipped (< <=, > >=, == !=, is / is not, in / not in), an
+arithmetic or boolean operator swapped (+ -, * //, << >>, and / or), a
+`not` dropped or an int constant moved by one either way.  The
 module is rewritten with ast.unparse into a copy of the repository and the
 given tests run there with -x; a mutant that passes them survives.  The
 unparsed, unmutated module must pass the same tests first, and that run's
@@ -33,6 +34,7 @@ SWAPS = {
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorDiv: ast.Mult,
     ast.LShift: ast.RShift, ast.RShift: ast.LShift,
+    ast.In: ast.NotIn, ast.NotIn: ast.In, ast.And: ast.Or, ast.Or: ast.And,
 }
 
 
@@ -56,10 +58,18 @@ def mutants(tree: ast.Module, names: set[str]):
             if isinstance(node, ast.Compare):
                 edits = [("ops", node.ops[:i] + [SWAPS[type(op)]()] + node.ops[i + 1:])
                          for i, op in enumerate(node.ops) if type(op) in SWAPS]
-            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SWAPS:
+            elif isinstance(node, (ast.BinOp, ast.AugAssign, ast.BoolOp)) and type(node.op) in SWAPS:
                 edits = [("op", SWAPS[type(node.op)]())]
             elif isinstance(node, ast.Constant) and type(node.value) is int:
                 edits = [("value", node.value + 1), ("value", node.value - 1)]
+            elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+                parent = parents[node]  # dropping the not edits the parent's field
+                field, value = dropped(parent, node)
+                old = getattr(parent, field)
+                setattr(parent, field, value)
+                yield f"line {node.lineno}: {ast.unparse(node)}  ->  {ast.unparse(node.operand)}"
+                setattr(parent, field, old)
+                continue
             else:
                 continue
             shown = node  # a constant is shown with what it is part of
@@ -71,6 +81,16 @@ def mutants(tree: ast.Module, names: set[str]):
                 setattr(node, field, value)
                 yield f"line {node.lineno}: {before}  ->  {ast.unparse(shown)}"
                 setattr(node, field, old)
+
+
+def dropped(parent: ast.AST, node: ast.UnaryOp) -> tuple[str, object]:
+    """The edit of parent's field that puts node's operand in node's place."""
+    for field, value in ast.iter_fields(parent):
+        if value is node:
+            return field, node.operand
+        if isinstance(value, list) and any(item is node for item in value):
+            return field, [node.operand if item is node else item for item in value]
+    raise AssertionError("node is not a child of parent")
 
 
 def outcome(work: Path, tests: list[str], timeout: float | None = None) -> str:
