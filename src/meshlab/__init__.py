@@ -37,7 +37,6 @@ from .permutations import (
     matches,
     mmp_count,
     quadrant_counts,
-    reduce,
     reverse,
 )
 

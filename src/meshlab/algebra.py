@@ -112,14 +112,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> Poly:
-        if exponent < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        result = _ONE
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def __call__(self, value):
         """Evaluate by Horner's rule.  Works for rationals and for Poly values."""
         result = value * 0  # additive zero of the argument's kind

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from functools import cache
@@ -31,7 +32,7 @@ from .distributions import (
     family_polynomial,
     sec_t_power_of_x,
 )
-from .permutations import DOWN_UP, UP_DOWN, QuadrantSpec
+from .permutations import DOWN_UP, UP_DOWN, QuadrantSpec, format_pattern
 from .verify import SUITE_RUNNERS, is_adjudication, report_json, run_suite, write_report
 
 DEFAULT_MAX_SERIES_ORDER = 40
@@ -134,10 +135,6 @@ def parse_pattern(text: str) -> QuadrantSpec:
     return QuadrantSpec(*reqs)
 
 
-def format_pattern(spec: QuadrantSpec) -> str:
-    return ",".join("e" if r is None else str(r) for r in spec.requirements)
-
-
 # ---------------------------------------------------------------------------
 # Commands.
 # ---------------------------------------------------------------------------
@@ -207,7 +204,13 @@ def _update_cache(path: Path, family: Family, rows) -> None:
     for index, _, poly in rows:
         by_key[(family.value, index)] = cache_record(family, index, poly)
     merged = [by_key[k] for k in sorted(by_key)]
-    path.write_text(json.dumps(merged, indent=2) + "\n")
+    # a sibling replaces the cache once whole: a failed write leaves the old one
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(merged, indent=2) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def cmd_verify(args) -> int:

@@ -47,32 +47,7 @@ def double_factorial(m: int) -> int:
     """
     if m < -1:
         raise ValueError("double factorial needs m >= -1")
-    result = 1
-    while m > 1:
-        result *= m
-        m -= 2
-    return result
-
-
-def falling_factorial(x, j: int):
-    """
-    (x) falling j = x (x-1) ... (x-j+1), with the empty product equal to 1.
-    Works for ints, rationals and Poly arguments alike, so ratio polynomials
-    can be assembled symbolically; an int argument gives an int.
-
-    >>> falling_factorial(6, 3)
-    120
-    >>> falling_factorial(Fraction(5), 2)
-    Fraction(20, 1)
-    >>> falling_factorial(Poly.x(), 0)
-    Poly((1,))
-    """
-    if j < 0:
-        raise ValueError("falling factorial needs j >= 0")
-    result = x ** 0
-    for i in range(j):
-        result = result * (x - i)
-    return result
+    return prod(range(m, 1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +60,11 @@ def falling_factorial(x, j: int):
 _RATIO_SUMS: dict[tuple, Fraction] = {}
 
 
-def _ratio_sum(law, k: int, n: int, seed_m: int, factor) -> Fraction:
+def _ratio_sum(law, k: int, n: int, seed_m: int, offset: int) -> Fraction:
     """
-    T_{2k+1}/seed_m!! + sum_{t=k+2}^{n} sum_{j=1}^{k} T_{2j+1} factor(t, j)
-    / (2j+1)! * law(k-j, t-j-1), resumed from the highest stored n below.
+    T_{2k+1}/seed_m!! + sum_{t=k+2}^{n} sum_{j=1}^{k} T_{2j+1} (2t+offset)
+    (2t+offset-2) ... (2t+offset-2j+2) / (2j+1)! * law(k-j, t-j-1), resumed
+    from the highest stored n below.
     """
     top = n
     while (acc := _RATIO_SUMS.get((law, k, top))) is None:
@@ -99,8 +75,9 @@ def _ratio_sum(law, k: int, n: int, seed_m: int, factor) -> Fraction:
     for t in range(top + 1, n + 1):
         for j in range(1, k + 1):
             value = law(k - j, t - j - 1)
+            factor = prod(range(2 * t + offset, 2 * t + offset - 2 * j, -2))
             acc += Fraction(
-                tangent_number(2 * j + 1) * factor(t, j) * value.numerator,
+                tangent_number(2 * j + 1) * factor * value.numerator,
                 factorial(2 * j + 1) * value.denominator,
             )
         _RATIO_SUMS[law, k, t] = acc
@@ -118,7 +95,7 @@ def p_value(k: int, n: int) -> Fraction:
 
         p_k(n) = T_{2k+1}/(2k+1)!!
                + sum_{j=1}^{k} sum_{t=k+2}^{n}
-                 T_{2j+1} 2^j (t-1)_falling_j / (2j+1)!  *  p_{k-j}(t-j-1)
+                 T_{2j+1} (2t-2)(2t-4)...(2t-2j) / (2j+1)!  *  p_{k-j}(t-j-1)
 
     with p_0 = 1, kept as a running sum: p_k(n) is p_k(n-1) plus the t = n terms.
 
@@ -130,9 +107,7 @@ def p_value(k: int, n: int) -> Fraction:
         return Fraction(1)
     if n < k + 1:
         raise ValueError(f"p_{k} is defined for n >= {k + 1}")
-    return _ratio_sum(
-        p_value, k, n, 2 * k + 1, lambda t, j: 2**j * falling_factorial(t - 1, j)
-    )
+    return _ratio_sum(p_value, k, n, 2 * k + 1, -2)
 
 
 def q_value(k: int, n: int, variant: str = "statement") -> Fraction:
@@ -161,18 +136,14 @@ def q_value(k: int, n: int, variant: str = "statement") -> Fraction:
         raise ValueError(f"q_{k} is defined for n >= {k + 1}")
     if variant == "in-proof":
         return _q_in_proof(k, n)
-    return _ratio_sum(
-        q_value, k, n, 2 * k, lambda t, j: prod(range(2 * t - 1, 2 * t - 1 - 2 * j, -2))
-    )
+    return _ratio_sum(q_value, k, n, 2 * k, -1)
 
 
 @cache
 def _q_in_proof(k: int, n: int) -> Fraction:
     acc = Fraction(tangent_number(2 * k + 1), double_factorial(2 * k))
     for j in range(1, k + 1):
-        factor = 2**j
-        for s in range(1, j):
-            factor *= 2 * n - 2 * s - 1
+        factor = 2**j * prod(range(2 * n - 3, 2 * n - 1 - 2 * j, -2))
         coeff = Fraction(tangent_number(2 * j + 1) * factor, factorial(2 * j + 1))
         for t in range(k + 2, n + 1):
             acc += coeff * q_value(k - j, t - j - 1, "in-proof")

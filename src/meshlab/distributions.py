@@ -170,6 +170,15 @@ def _unpacked(packed: int, w: int, n: int) -> Poly:
     return Poly([(packed >> (k * w)) & mask for k in range(n + 1)])
 
 
+def _gap_dp_start(n: int, cls: AlternatingClass) -> tuple[int, list[int]]:
+    """Field width w and opening vector over gaps of the triangle and extremes DPs."""
+    ee = zigzag_numbers(n)
+    w = max(comb(n, d) * ee[d] for d in range(n + 1)).bit_length()
+    start = [0] * (n + 1)
+    start[0 if cls.rises_into(0) else n] = 1
+    return w, start
+
+
 def _dist_brute_triangle(n: int, cls: AlternatingClass, ok1: list[bool], ok4: list[bool]) -> Poly:
     # With quadrants II and III unconstrained, a position's match depends only
     # on the rank j of its value v among the r values not yet placed (v
@@ -186,10 +195,7 @@ def _dist_brute_triangle(n: int, cls: AlternatingClass, ok1: list[bool], ok4: li
     # hold more than E_n of them; a coefficient counts at most the class
     # prefixes of length d, C(n, d) E_d (a set of d values, arranged
     # alternating), so w bits hold every coefficient without a carry.
-    ee = zigzag_numbers(n)
-    w = max(comb(n, d) * ee[d] for d in range(n + 1)).bit_length()
-    ends = [0] * (n + 1)
-    ends[0 if cls.rises_into(0) else n] = 1
+    w, ends = _gap_dp_start(n, cls)
     for d in range(n):
         r = n - d
         if cls.rises_into(d):
@@ -217,15 +223,10 @@ def _dist_brute_extremes(
     #     j >= h, else j.
     # A quadrant whose requirement is 0 asks nothing, so its extreme is not
     # tracked and stays n.  groups[g, h] is the packed histogram vector over
-    # k, and each depth is one running sum per group, as in the triangle.  A
-    # slot merges prefixes over different placed sets, just as the
-    # triangle's slots do, so the triangle's field width w holds every
-    # coefficient.
+    # k, and each depth is one running sum per group, as in the triangle, whose
+    # argument for the field width w covers these slots too.
     ok2, ok3 = ((q != 1, q is not None) for q in (q2, q3))  # indexed by count >= 1
-    ee = zigzag_numbers(n)
-    w = max(comb(n, d) * ee[d] for d in range(n + 1)).bit_length()
-    start = [0] * (n + 1)
-    start[0 if cls.rises_into(0) else n] = 1
+    w, start = _gap_dp_start(n, cls)
     groups = {(n, n): start}
     for d in range(n):
         r = n - d

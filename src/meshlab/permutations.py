@@ -107,8 +107,7 @@ class QuadrantSpec:
         return (self.q1, self.q2, self.q3, self.q4)
 
     def __str__(self) -> str:
-        parts = ",".join("e" if r is None else str(r) for r in self.requirements)
-        return f"MMP({parts})"
+        return f"MMP({format_pattern(self)})"
 
     def accepts(self, counts: Sequence[int]) -> bool:
         """
@@ -126,6 +125,11 @@ class QuadrantSpec:
             elif count < req:
                 return False
         return True
+
+
+def format_pattern(spec: QuadrantSpec) -> str:
+    """The requirements joined by commas, e for empty: what the CLI's --pattern reads."""
+    return ",".join("e" if r is None else str(r) for r in spec.requirements)
 
 
 def matches(perm: Sequence[int], i: int, spec: QuadrantSpec) -> bool:
@@ -207,21 +211,6 @@ def is_up_down(perm: Sequence[int]) -> bool:
 def is_down_up(perm: Sequence[int]) -> bool:
     """p1 > p2 < p3 > p4 < ...  Length-1 permutations qualify here too."""
     return all((perm[j - 1] < perm[j]) == DOWN_UP.rises_into(j) for j in range(1, len(perm)))
-
-
-def reduce(window: Sequence[int]) -> Perm:
-    """
-    Order-isomorphic standardisation: the i-th smallest entry becomes i.
-
-    >>> reduce((5, 9, 2))
-    (2, 3, 1)
-    >>> reduce((1, 2, 3))
-    (1, 2, 3)
-    """
-    if len(set(window)) != len(window):
-        raise ValueError(f"window entries must be distinct: {tuple(window)}")
-    rank = {v: r for r, v in enumerate(sorted(window), start=1)}
-    return tuple(rank[v] for v in window)
 
 
 def enumerate_alternating(n: int, cls: AlternatingClass) -> Iterator[Perm]:

@@ -1,5 +1,6 @@
 import contextlib
 import doctest
+import errno
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -22,6 +24,7 @@ from meshlab.cli import (
     main,
     parse_pattern,
 )
+from meshlab.coeff_laws import level_length
 from meshlab.distributions import Family, family_polynomial
 from meshlab.permutations import QuadrantSpec
 from meshlab.records import make_record
@@ -267,6 +270,37 @@ def test_table_cache_malformed_still_prints(tmp_path, capsys, content):
     assert "x" in out  # the table itself was printed
     assert "error: cannot update cache" in err
     assert cache.read_text() == content
+
+
+def test_table_cache_failed_write_keeps_the_old_cache(tmp_path, capsys, monkeypatch):
+    # a write that stops half-way on a full disk must leave the old cache whole
+    cache = tmp_path / "cache.json"
+    code, _, _ = run(
+        capsys, "table", "--family", "A", "--max-index", "2", "--cache", str(cache)
+    )
+    assert code == 0
+    old = cache.read_bytes()
+    write_text = Path.write_text
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def half_then_full(self, data, *args, **kwargs):
+        write_text(self, data[: len(data) // 2], *args, **kwargs)
+        raise full
+
+    monkeypatch.setattr(Path, "write_text", half_then_full)
+    code, out, err = run(
+        capsys, "table", "--family", "D", "--max-index", "2", "--cache", str(cache)
+    )
+    monkeypatch.undo()
+    assert code == 1
+    assert "x" in out  # the table itself was printed
+    assert err == f"error: cannot update cache {cache}: {full}\n"
+    assert cache.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [cache]  # no temporary file left behind
+    code, _, _ = run(
+        capsys, "table", "--family", "D", "--max-index", "2", "--cache", str(cache)
+    )
+    assert code == 0
 
 
 def test_table_cache_preserves_big_integers(tmp_path, capsys):
@@ -650,6 +684,26 @@ def test_run_suite_unknown_name_is_a_key_error():
     with pytest.raises(KeyError) as excinfo:
         run_suite("bogus")
     assert excinfo.value.args == ("bogus",)
+
+
+def test_suite_default_budgets(monkeypatch):
+    # without --max-length each enumerating suite stops at the default in
+    # SUITE_RUNNERS: symmetry at length 8, oracle at 12, the egf suite's
+    # (sec t)^x check at n = 5 (length 10) and coeff-laws' oracle levels at 11
+    monkeypatch.delenv("MESHLAB_MAX_BRUTE", raising=False)
+
+    def rows(suite, check):
+        (result,) = run_suite(suite)
+        return [(Family(r["family"]), r["n"]) for r in result.records if r["check"] == check]
+
+    assert max(f.length(n) for f, n in rows("symmetry", "symmetry-chain")) == 8
+    assert max(f.length(n) for f, n in rows("oracle", "oracle-vs-recursion")) == 12
+    assert max(2 * n for _, n in rows("egf", "sec-power-identity")) == 10
+    assert max(level_length(f, n) for f, n in rows("coeff-laws", "level-law-brute")) == 11
+    # a guard of 0 or below admits no length, so the oracle suite checks none
+    for guard in ("0", "-1"):
+        monkeypatch.setenv("MESHLAB_MAX_BRUTE", guard)
+        assert run_suite("oracle")[0].records == []
 
 
 def test_run_suite_all_runs_each_suite_once_in_order(monkeypatch):

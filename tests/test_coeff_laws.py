@@ -15,7 +15,6 @@ from meshlab.coeff_laws import (
     closed_form_verdicts,
     confirmed_q_variant,
     double_factorial,
-    falling_factorial,
     highest_coefficient_check,
     level_base,
     level_law_check,
@@ -55,20 +54,6 @@ def test_double_factorial_values():
     ]
     with pytest.raises(ValueError):
         double_factorial(-2)
-
-
-def test_falling_factorial():
-    assert falling_factorial(Fraction(6), 3) == 120
-    assert falling_factorial(Fraction(6), 0) == 1
-    # plain ints stay ints: the ratio laws call it on int arguments
-    for x, j, expected in ((6, 3, 120), (6, 0, 1), (5, 5, 120), (4, 5, 0), (-2, 2, 6)):
-        value = falling_factorial(x, j)
-        assert type(value) is int and value == expected
-    x = Poly.x()
-    assert falling_factorial(x, 2) == Poly([0, -1, 1])
-    assert falling_factorial(x, 0) == Poly.one()
-    with pytest.raises(ValueError):
-        falling_factorial(x, -1)
 
 
 # --- level sets --------------------------------------------------------------
@@ -304,25 +289,23 @@ def test_running_sums_match_the_literal_double_sums(fresh_sums, descending_first
 
 
 @pytest.mark.parametrize(
-    "law, literal, name, trigger",
-    [
-        (p_value, literal_p, "falling_factorial", (4, 2)),
-        (q_value, literal_q, "prod", (range(9, 5, -2),)),
-    ],
+    "law, literal, trigger",
+    [(p_value, literal_p, range(8, 4, -2)), (q_value, literal_q, range(9, 5, -2))],
 )
-def test_nested_extension_of_the_same_k(fresh_sums, monkeypatch, law, literal, name, trigger):
-    # While k = 2 is extended through t = 5, its j = 2 term asks for n = 9 of
-    # the same k.  A store indexed by position would put t = 5 after t = 9.
-    original = getattr(meshlab.coeff_laws, name)
+def test_nested_extension_of_the_same_k(fresh_sums, monkeypatch, law, literal, trigger):
+    # While k = 2 is extended through t = 5, its j = 2 term (the factor
+    # prod(trigger)) asks for n = 9 of the same k.  A store indexed by
+    # position would put t = 5 after t = 9.
+    original = meshlab.coeff_laws.prod
     nested = []
 
-    def term(*args):
-        if args == trigger and not nested:
+    def term(factors):
+        if factors == trigger and not nested:
             nested.append(None)  # fire once: the nested extension calls term too
             nested[0] = law(2, 9)
-        return original(*args)
+        return original(factors)
 
-    monkeypatch.setattr(meshlab.coeff_laws, name, term)
+    monkeypatch.setattr(meshlab.coeff_laws, "prod", term)
     assert law(2, 7) == literal(2, 7)
     assert nested == [literal(2, 9)]
     assert [law(2, n) for n in range(3, 13)] == [literal(2, n) for n in range(3, 13)]

@@ -20,7 +20,6 @@ from meshlab.permutations import (
     matches,
     mmp_count,
     quadrant_counts,
-    reduce,
     reverse,
 )
 
@@ -191,20 +190,14 @@ def test_length_one_belongs_to_both_classes():
     assert is_down_up((1,))
 
 
-# --- reduce ----------------------------------------------------------------
-
-
-def test_reduce_examples():
-    assert reduce((5, 9, 2)) == (2, 3, 1)
-    assert reduce((1, 2, 3)) == (1, 2, 3)
-    with pytest.raises(ValueError):
-        reduce((2, 2))
+# --- standardisation -------------------------------------------------------
 
 
 def test_reduce_preserves_suffix_statistic():
     # For the quadrant-I pattern, whether a suffix position matches depends
-    # only on the suffix itself, so standardising the suffix preserves the
-    # statistic.  Exhaustive over every suffix of every permutation, n <= 6.
+    # only on the suffix itself, so standardising the suffix (the i-th
+    # smallest entry becomes i) preserves the statistic.  Exhaustive over
+    # every suffix of every permutation, n <= 6.
     for n in range(1, 7):
         for p in itertools.permutations(range(1, n + 1)):
             for start in range(n):
@@ -212,7 +205,8 @@ def test_reduce_preserves_suffix_statistic():
                 in_full = sum(
                     1 for i in range(start + 1, n + 1) if matches(p, i, Q1)
                 )
-                assert mmp_count(reduce(suffix), Q1) == in_full
+                standard = tuple(sorted(suffix).index(v) + 1 for v in suffix)
+                assert mmp_count(standard, Q1) == in_full
 
 
 # --- enumeration -----------------------------------------------------------

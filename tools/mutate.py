@@ -5,15 +5,18 @@ Single-mutant testing with the standard library's ast module only.
         --tests tests/test_distributions.py
 
 Each mutant changes one node inside the named functions (a method is named
-Class.method; nested functions count as part of their outer one): a
-comparison flipped (< <=, > >=, == !=, is / is not, in / not in), an
-arithmetic or boolean operator swapped (+ -, * //, << >>, and / or), a
-`not` dropped or an int constant moved by one either way.  The
-module is rewritten with ast.unparse into a copy of the repository and the
-given tests run there with -x; a mutant that passes them survives.  The
-unparsed, unmutated module must pass the same tests first, and that run's
-time sets each mutant's timeout: a mutant run that takes longer (say, one
-whose mutation made a loop endless) is stopped and counts as killed.
+Class.method; nested functions count as part of their outer one) or inside
+the value of a named module-level assignment (a table; a tuple unpacking is
+named by any of its names): a comparison flipped (< <=, > >=, == !=, is /
+is not, in / not in), an arithmetic or boolean operator swapped (+ -, * //,
+<< >>, and / or), a `not` dropped or an int constant moved by one either
+way.  In a table, two neighbouring entries of a tuple, a list, a call's
+arguments or a dict's values also trade places.  The module is rewritten
+with ast.unparse into a copy of the repository and the given tests run
+there with -x; a mutant that passes them survives.  The unparsed, unmutated
+module must pass the same tests first, and that run's time sets each
+mutant's timeout: a mutant run that takes longer (say, one whose mutation
+made a loop endless) is stopped and counts as killed.
 """
 from __future__ import annotations
 
@@ -36,25 +39,32 @@ SWAPS = {
     ast.LShift: ast.RShift, ast.RShift: ast.LShift,
     ast.In: ast.NotIn, ast.NotIn: ast.In, ast.And: ast.Or, ast.Or: ast.And,
 }
+ENTRIES = {ast.Tuple: "elts", ast.List: "elts", ast.Call: "args", ast.Dict: "values"}
 
 
-def functions(tree: ast.Module, names: set[str]) -> list[ast.AST]:
+def targets(tree: ast.Module, names: set[str]) -> list[tuple[ast.stmt, ast.AST]]:
+    """(statement, subtree to mutate) per named function, method or assignment."""
     found = {}
     for top in tree.body:
         members = top.body if isinstance(top, ast.ClassDef) else []
         for node, prefix in [(top, "")] + [(m, f"{top.name}.") for m in members]:
             if isinstance(node, ast.FunctionDef) and prefix + node.name in names:
-                found[prefix + node.name] = node
+                found[prefix + node.name] = (node, node)
+        if isinstance(top, ast.Assign | ast.AnnAssign) and top.value is not None:
+            bound = top.targets if isinstance(top, ast.Assign) else [top.target]
+            for name in (n for t in bound for n in ast.walk(t) if isinstance(n, ast.Name)):
+                if name.id in names:
+                    found[name.id] = (top, top.value)  # never the annotation
     if missing := names - set(found):
-        raise SystemExit(f"no function named {', '.join(sorted(missing))}")
-    return list(found.values())
+        raise SystemExit(f"no function or assignment named {', '.join(sorted(missing))}")
+    return list(dict.fromkeys(found.values()))  # _Q2 and _Q3 may name one statement
 
 
 def mutants(tree: ast.Module, names: set[str]):
     """Yield a label per mutant while the tree holds it; the tree is restored after."""
-    for func in functions(tree, names):
-        parents = {c: p for p in ast.walk(func) for c in ast.iter_child_nodes(p)}
-        for node in ast.walk(func):
+    for stmt, root in targets(tree, names):
+        parents = {c: p for p in ast.walk(stmt) for c in ast.iter_child_nodes(p)}
+        for node in ast.walk(root):
             if isinstance(node, ast.Compare):
                 edits = [("ops", node.ops[:i] + [SWAPS[type(op)]()] + node.ops[i + 1:])
                          for i, op in enumerate(node.ops) if type(op) in SWAPS]
@@ -69,6 +79,18 @@ def mutants(tree: ast.Module, names: set[str]):
                 setattr(parent, field, value)
                 yield f"line {node.lineno}: {ast.unparse(node)}  ->  {ast.unparse(node.operand)}"
                 setattr(parent, field, old)
+                continue
+            elif type(node) in ENTRIES and root is not stmt:
+                field, before = ENTRIES[type(node)], ast.unparse(node)
+                items = getattr(node, field)
+                for i in range(len(items) - 1):
+                    a, b = items[i], items[i + 1]
+                    if ast.dump(a) != ast.dump(b):
+                        setattr(node, field, items[:i] + [b, a] + items[i + 2:])
+                        shown = (f"{before}  ->  {ast.unparse(node)}" if len(before) <= 60
+                                 else f"{ast.unparse(a)}  <->  {ast.unparse(b)}")  # a long table
+                        yield f"line {a.lineno}: {shown}"
+                        setattr(node, field, items)
                 continue
             else:
                 continue
@@ -109,7 +131,9 @@ def outcome(work: Path, tests: list[str], timeout: float | None = None) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     parser.add_argument("module", help="source file, relative to the repository root")
-    parser.add_argument("functions", nargs="+", help="function or Class.method names")
+    parser.add_argument(
+        "functions", nargs="+", help="function, Class.method or module-level assignment names"
+    )
     parser.add_argument("--tests", action="append", required=True, help="pytest arguments")
     args = parser.parse_args()
     tree = ast.parse((ROOT / args.module).read_text())
