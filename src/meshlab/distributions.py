@@ -43,10 +43,10 @@ from .records import make_record, sole_passing_variant
 
 MMP_Q1 = QuadrantSpec(1, 0, 0, 0)
 
-# Hard guard for the exhaustive oracle.  At length 14 the "python" engine makes
-# ~2 * 10^8 statistic evaluations per class, and the default one's subset DP
-# fills a 2^14-slot table (tracemalloc peak ~1.2 MB); beyond that you must opt
-# in explicitly.  Of the default engine's three paths only that subset DP
+# Hard guard for the exhaustive oracle.  At length 14 the literal reference
+# would make ~2 * 10^8 statistic evaluations per class, and dist_brute's
+# subset DP fills a 2^14-slot table (tracemalloc peak ~1.2 MB); beyond that
+# you must opt in explicitly.  Of dist_brute's three DPs only the subset DP
 # needs it: specs with quadrants II and III unconstrained run the triangle
 # DP, O(n^2) additions, and specs whose II and III ask e, 0 or 1 the
 # extremes DP, O(n^4) steps.  The guard applies to every spec alike, so
@@ -129,7 +129,8 @@ def family_for(length: int, cls: AlternatingClass) -> Family:
 # left of the peak all match the quadrant-I pattern, hence the plain x-power;
 # the up-down word right of the peak contributes its own distribution.  The
 # printed A_{2n}, B_{2n-1}, C_{2n} and D_{2n-1} recursions are its four
-# parity cases.
+# parity cases.  j runs downward, so the rows right of the peak are built
+# shortest first and a cold row recurses only a few frames deep.
 # ---------------------------------------------------------------------------
 
 
@@ -139,7 +140,7 @@ def _positional(length: int, cls: AlternatingClass) -> Poly:
         return Poly.one()
     ee = zigzag_numbers(length - 1)
     out: list[int] = []
-    for j in range(1 if cls is UP_DOWN else 0, length, 2):
+    for j in reversed(range(1 if cls is UP_DOWN else 0, length, 2)):
         rest = _positional(length - 1 - j, UP_DOWN).coeffs
         _mul_into(out, (ee[j],), rest, comb(length - 1, j), j)
     return Poly(out)
@@ -252,13 +253,9 @@ def _dist_brute_extremes(
     return _unpacked(sum(ends[0] for ends in groups.values()), w, n)
 
 
-def _dist_brute_incremental(length: int, cls: AlternatingClass, spec: QuadrantSpec) -> Poly:
-    # Specs that read nothing from quadrants II and III need only the rank
-    # of the last value among the unplaced ones: see _dist_brute_triangle.
-    # Specs that ask at most "empty or not" of each (requirements e, 0 or 1)
-    # need the largest and smallest placed values too: see
-    # _dist_brute_extremes.  Every other spec runs the subset DP below.
-    #
+def _dist_brute_subset(
+    n: int, cls: AlternatingClass, ok1: list[bool], ok2: list[bool], ok3: list[bool], ok4: list[bool]
+) -> Poly:
     # Each position's quadrant counts are fixed the moment its value v lands
     # at 0-based depth d: with k the values already placed below v,
     #   c3 = k,  c2 = d - k,  c1 = (n - v) - c2,  c4 = (v - 1) - k,
@@ -275,14 +272,6 @@ def _dist_brute_incremental(length: int, cls: AlternatingClass, spec: QuadrantSp
     # multiplying by x is a shift.  masks lists the depth's states, each
     # freed once read.  A state holds at most E_n prefixes (the arrangements
     # of its values), so no coefficient carries into the next.
-    n = length
-    ok1, ok2, ok3, ok4 = (
-        [c == 0 if req is None else c >= req for c in range(n)] for req in spec.requirements
-    )
-    if spec.q2 == 0 and spec.q3 == 0:
-        return _dist_brute_triangle(n, cls, ok1, ok4)
-    if spec.q2 in (None, 0, 1) and spec.q3 in (None, 0, 1):
-        return _dist_brute_extremes(n, cls, ok1, ok4, spec.q2, spec.q3)
     w = zigzag_numbers(n)[n].bit_length()
     table: list[list[int] | None] = [[]] + [None] * ((1 << n) - 1)
     masks = [0]
@@ -322,9 +311,6 @@ def _dist_brute_incremental(length: int, cls: AlternatingClass, spec: QuadrantSp
     return _unpacked(sum(table[-1]), w, n)  # the one state left places all n
 
 
-_ENGINES = {"incremental": _dist_brute_incremental, "python": _dist_brute_python}
-
-
 def dist_brute(
     length: int,
     cls: AlternatingClass,
@@ -332,35 +318,28 @@ def dist_brute(
     *,
     workers: int = 1,
     force: bool = False,
-    engine: str = "incremental",
 ) -> Poly:
     """
     The oracle: sum of x^statistic over every alternating permutation of the
     given length and class.
 
     Lengths above the guard (see brute_force_limit) raise
-    BruteForceLimitError unless force=True.  engine selects one of:
+    BruteForceLimitError unless force=True.  The spec picks one of three
+    DPs.  When it leaves quadrants II and III unconstrained (MMP(a,0,0,d),
+    the quadrant-I statistic among them), all words whose last value has
+    the same rank among the values not yet placed are extended together:
+    the boustrophedon triangle, n(n+1)/2 additions.  When II and III each
+    ask e, 0 or 1 (MMP(1,0,e,0) among them), the words are also grouped by
+    how many unplaced values lie above their largest and below their
+    smallest placed value, O(n^4) steps.  Any other spec extends together
+    all words that share their placed values and last value, O(n^2 2^n)
+    steps.  _dist_brute_python, mmp_count on every generated word, is the
+    literal reference the three are tested against.
 
-      * "incremental" (the default), by one of three paths.  When the spec
-        leaves quadrants II and III unconstrained (MMP(a,0,0,d), the
-        quadrant-I statistic among them), it extends together all words
-        whose last value has the same rank among the values not yet placed:
-        the boustrophedon triangle, n(n+1)/2 additions.  When II and III
-        each ask e, 0 or 1 (MMP(1,0,e,0) among them), it also groups the
-        words by how many unplaced values lie above their largest and below
-        their smallest placed value, O(n^4) steps.  Any other spec extends
-        together all words that share their placed values and last value,
-        O(n^2 2^n) steps;
-      * "python": the literal reference, mmp_count on every generated word.
-
-    Any other engine raises ValueError; a histogram that does not sum to the
-    zigzag number E_length raises ArithmeticError.  Enumeration runs in the
-    calling thread; workers is accepted and ignored, so results never
-    depend on it.
+    A histogram that does not sum to the zigzag number E_length raises
+    ArithmeticError.  Enumeration runs in the calling thread; workers is
+    accepted and ignored, so results never depend on it.
     """
-    run = _ENGINES.get(engine)
-    if run is None:
-        raise ValueError(f"unknown engine {engine!r}")
     if length < 0:
         raise ValueError("length must be nonnegative")
     if length == 0:
@@ -368,7 +347,15 @@ def dist_brute(
     limit = brute_force_limit()
     if length > limit and not force:
         raise BruteForceLimitError(length, limit)
-    hist = run(length, cls, spec)
+    ok1, ok2, ok3, ok4 = (
+        [c == 0 if req is None else c >= req for c in range(length)] for req in spec.requirements
+    )
+    if spec.q2 == 0 and spec.q3 == 0:
+        hist = _dist_brute_triangle(length, cls, ok1, ok4)
+    elif spec.q2 in (None, 0, 1) and spec.q3 in (None, 0, 1):
+        hist = _dist_brute_extremes(length, cls, ok1, ok4, spec.q2, spec.q3)
+    else:
+        hist = _dist_brute_subset(length, cls, ok1, ok2, ok3, ok4)
     total = zigzag_numbers(length)[length]
     if hist(1) != total:
         raise ArithmeticError(f"histogram sums to {hist(1)}, not E_{length} = {total}")

@@ -28,7 +28,7 @@ from meshlab.coeff_laws import level_length
 from meshlab.distributions import Family, family_polynomial
 from meshlab.permutations import QuadrantSpec
 from meshlab.records import make_record
-from meshlab.verify import SUITE_RUNNERS, SuiteResult, run_suite
+from meshlab.verify import SUITE_RUNNERS, SuiteResult, run_suite, run_unimodality
 
 
 def run(capsys, *argv):
@@ -534,6 +534,19 @@ def test_verify_plain_lists_each_failing_adjudication(capsys):
         "suite closed-forms: PASS - 0/0 assertions - 96/128 adjudications agree",
         *(failure_line("adjudication", r) for r in fails),
     ]
+
+
+def test_adjudication_checks_do_not_gate_a_suite():
+    # a failing record of each informational check leaves its suite passing
+    # except under --strict; any other failing check fails it
+    for check in ("closed-form", "c-double-integral", "q-recursion-variant", "unimodal"):
+        result = SuiteResult("s", [make_record(check, expected=1, actual=0)])
+        assert result.passed and not result.passed_strict, check
+    assert not SuiteResult("s", [make_record("table-row", expected=1, actual=0)]).passed
+    # the unimodality scan of the conjecture counts as adjudications only
+    assert run_unimodality().summary() == (
+        "suite unimodality: PASS - 0/0 assertions - 32/32 adjudications agree"
+    )
 
 
 def test_verify_plain_lists_a_failing_assertion(capsys, monkeypatch):

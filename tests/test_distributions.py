@@ -15,6 +15,8 @@ from meshlab.distributions import (
     MMP_Q1,
     BruteForceLimitError,
     Family,
+    _dist_brute_python,
+    _positional,
     brute_force_limit,
     closed_form_series_check,
     confirmed_c_variant,
@@ -65,6 +67,8 @@ def test_dist_brute_examples():
     assert dist_brute(2, UP_DOWN, QuadrantSpec(0, 0, 0, 0)) == Poly([0, 0, 1])
     assert dist_brute(0, UP_DOWN, MMP_Q1) == Poly.one()
     assert dist_brute(1, DOWN_UP, MMP_Q1) == Poly.one()
+    with pytest.raises(ValueError, match="^length must be nonnegative$"):
+        dist_brute(-1, UP_DOWN, MMP_Q1)
 
 
 @pytest.mark.parametrize(
@@ -81,50 +85,37 @@ def test_dist_brute_examples():
 def test_engines_agree(spec):
     for length in range(1, 8):
         for cls in (UP_DOWN, DOWN_UP):
-            assert dist_brute(length, cls, spec) == dist_brute(
-                length, cls, spec, engine="python"
-            )
+            assert dist_brute(length, cls, spec) == _dist_brute_python(length, cls, spec)
 
 
-def test_incremental_engine_runs_the_triangle_when_quadrants_two_and_three_are_free(
-    monkeypatch,
-):
-    # both DPs give the same histograms, so only the route shows which ran
+_DPS = ("_dist_brute_triangle", "_dist_brute_extremes", "_dist_brute_subset")
+
+
+def test_dist_brute_routes_each_spec_to_one_dp(monkeypatch):
+    # all three DPs give the same histograms, so only the route shows which
+    # ran: II and III both 0 run the triangle, both in {e, 0, 1} otherwise
+    # the extremes DP, and a 2 or 3 in either the subset DP
     routed = []
-    triangle = meshlab.distributions._dist_brute_triangle
+    for name in _DPS:
+        dp = getattr(meshlab.distributions, name)
 
-    def spy(n, cls, ok1, ok4):
-        routed.append(n)
-        return triangle(n, cls, ok1, ok4)
+        def spy(*args, dp=dp, name=name):
+            routed.append(name)
+            return dp(*args)
 
-    monkeypatch.setattr(meshlab.distributions, "_dist_brute_triangle", spy)
-    entries = (None, 0, 1)
-    for reqs in itertools.product(entries, repeat=4):
-        routed.clear()
-        dist_brute(5, DOWN_UP, QuadrantSpec(*reqs))
-        assert routed == ([5] if reqs[1:3] == (0, 0) else []), reqs
-
-
-def test_incremental_engine_runs_the_extremes_dp_when_quadrants_two_and_three_ask_at_most_one(
-    monkeypatch,
-):
-    # requirements e, 0 or 1 in quadrants II and III, not both 0 (the
-    # triangle's case), run the extremes DP; a 2 in either runs the subset DP
-    routed = []
-    extremes = meshlab.distributions._dist_brute_extremes
-
-    def spy(n, cls, ok1, ok4, q2, q3):
-        routed.append(n)
-        return extremes(n, cls, ok1, ok4, q2, q3)
-
-    monkeypatch.setattr(meshlab.distributions, "_dist_brute_extremes", spy)
+        monkeypatch.setattr(meshlab.distributions, name, spy)
     small = (None, 0, 1)
-    for reqs in itertools.product((None, 0, 1, 2), repeat=4):
+    for reqs in itertools.product((None, 0, 1, 2, 3), repeat=4):
         routed.clear()
         dist_brute(5, DOWN_UP, QuadrantSpec(*reqs))
         b, c = reqs[1:3]
-        runs = b in small and c in small and (b, c) != (0, 0)
-        assert routed == ([5] if runs else []), reqs
+        if b == c == 0:
+            expected = "_dist_brute_triangle"
+        elif b in small and c in small:
+            expected = "_dist_brute_extremes"
+        else:
+            expected = "_dist_brute_subset"
+        assert routed == [expected], reqs
 
 
 def test_worker_partitioning_is_exact():
@@ -134,9 +125,11 @@ def test_worker_partitioning_is_exact():
         assert lone == many
 
 
-def assert_incremental_matches_reference(length, cls, spec):
-    fast = dist_brute(length, cls, spec, engine="incremental")
-    assert fast == dist_brute(length, cls, spec, engine="python")
+def assert_matches_reference(length, cls, spec):
+    # the literal reference returns Poly() at length 0, where dist_brute
+    # follows the empty-permutation convention: one word, statistic 0
+    fast = dist_brute(length, cls, spec)
+    assert fast == (_dist_brute_python(length, cls, spec) if length else Poly.one())
     assert fast(1) == zigzag_numbers(length)[length]
 
 
@@ -150,7 +143,7 @@ wide_requirement = st.one_of(st.none(), st.integers(0, 3))
     st.tuples(wide_requirement, wide_requirement, wide_requirement, wide_requirement),
 )
 def test_incremental_engine_matches_reference(length, cls, reqs):
-    assert_incremental_matches_reference(length, cls, QuadrantSpec(*reqs))
+    assert_matches_reference(length, cls, QuadrantSpec(*reqs))
 
 
 @pytest.mark.parametrize("length", range(9))
@@ -159,13 +152,13 @@ def test_incremental_engine_on_short_words(length):
     # "at least k" and "never met" threshold entries.  Up to length 5 every
     # spec runs, so all three DPs (triangle, extremes, subset) meet the
     # reference there.  Past length 5 only the specs with quadrants II and
-    # III unconstrained run (the triangle DP); the literal engine makes the
-    # rest too slow to run them all
+    # III unconstrained run (the triangle DP); the literal reference makes
+    # the rest too slow to run them all
     entries = (None, 0, 1, 2, 9)
     middles = itertools.product(entries, repeat=2) if length <= 5 else [(0, 0)]
     for (b, c), (a, d) in itertools.product(middles, itertools.product(entries, repeat=2)):
         for cls in (UP_DOWN, DOWN_UP):
-            assert_incremental_matches_reference(length, cls, QuadrantSpec(a, b, c, d))
+            assert_matches_reference(length, cls, QuadrantSpec(a, b, c, d))
 
 
 @pytest.mark.parametrize("spec", [
@@ -175,12 +168,12 @@ def test_incremental_engine_on_short_words(length):
 ])
 @pytest.mark.parametrize("cls", [UP_DOWN, DOWN_UP])
 def test_incremental_engine_at_length_nine(cls, spec):
-    assert_incremental_matches_reference(9, cls, spec)
+    assert_matches_reference(9, cls, spec)
 
 
 @pytest.mark.parametrize("cls", [UP_DOWN, DOWN_UP])
 def test_packed_histogram_boundaries(cls):
-    # The default engine packs the coefficients of a histogram into fixed
+    # dist_brute packs the coefficients of a histogram into fixed
     # fields: E_n.bit_length() bits in the subset DP, where a state holds at
     # most E_n words, and the wider max_d C(n, d) E_d bits in the triangle
     # and extremes DPs, whose slots merge prefixes over every set of placed
@@ -204,11 +197,15 @@ def test_packed_histogram_boundaries(cls):
 
 
 def test_histogram_sum_is_checked(monkeypatch):
-    monkeypatch.setitem(
-        meshlab.distributions._ENGINES, "incremental", lambda length, cls, spec: Poly([1])
-    )
-    with pytest.raises(ArithmeticError):
-        dist_brute(5, UP_DOWN, MMP_Q1)
+    # each DP in turn returns a histogram that sums to 1, not E_5 = 16, for
+    # a spec routed to it; x, not a constant, so the message must show its
+    # value at x = 1
+    specs = (MMP_Q1, QuadrantSpec(1, 0, None, 0), QuadrantSpec(None, 2, 0, 1))
+    for name, spec in zip(_DPS, specs):
+        with monkeypatch.context() as patch:
+            patch.setattr(meshlab.distributions, name, lambda *args: Poly([0, 1]))
+            with pytest.raises(ArithmeticError, match="^histogram sums to 1, not E_5 = 16$"):
+                dist_brute(5, UP_DOWN, spec)
 
 
 def right_to_left_maxima(word) -> int:
@@ -228,8 +225,8 @@ def test_quadrant_one_statistic_from_right_to_left_maxima(cls):
         hist = [0] * (length + 1)
         for word in enumerate_alternating(length, cls):
             hist[length - right_to_left_maxima(word)] += 1
-        for engine in ("incremental", "python"):
-            assert dist_brute(length, cls, MMP_Q1, engine=engine) == Poly(hist)
+        for oracle in (dist_brute, _dist_brute_python):
+            assert oracle(length, cls, MMP_Q1) == Poly(hist)
 
 
 requirement = st.one_of(st.none(), st.integers(0, 2))
@@ -356,12 +353,6 @@ def test_coeff_law_names_live_only_in_coeff_laws():
         from meshlab import p_value  # noqa: F401
 
 
-def test_unknown_engine():
-    for engine in ("quantum", "auto", "compiled"):
-        with pytest.raises(ValueError):
-            dist_brute(3, UP_DOWN, MMP_Q1, engine=engine)
-
-
 # --- recursion route vs published tables -----------------------------------
 
 
@@ -387,6 +378,27 @@ def test_distribution_coefficients_are_nonnegative_integers():
         for index in range(family.min_index(), 11):
             poly = family_polynomial(family, index)
             assert all(c.denominator == 1 and c >= 0 for c in poly.coeffs)
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_cold_recursion_rows_stay_shallow():
+    # a row asked first must not recurse once per shorter row: index 60
+    # (length 119 or 120) has to fit in 30 frames above the caller's
+    _positional.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 30)
+    try:
+        rows = {family: family_polynomial(family, 60) for family in Family}
+    finally:
+        sys.setrecursionlimit(limit)
+    for family, row in rows.items():
+        assert row(1) == zigzag_numbers(120)[family.length(60)], family
 
 
 def test_poly_index_preconditions():
@@ -650,7 +662,7 @@ def test_exact_results_at_benchmark_scale_are_pinned():
 
 
 # sha256 of repr([dist_brute(L, cls, spec).coeffs for L in 1..12]), as the
-# default engine printed them when it called spec.accepts for every entry
+# dist_brute printed them when it called spec.accepts for every entry
 ORACLE_12_DIGESTS = {
     "MMP(1,0,0,0)-ud": "ea85c14d2b6bff569cae438e559a6be4b1f8c82cc1326aea1c93c95224f00c77",
     "MMP(1,0,0,0)-du": "612bff6ee8ffbfed6060434d1be035b59c2231251af389a9483918452f2a05e9",

@@ -11,12 +11,14 @@ named by any of its names): a comparison flipped (< <=, > >=, == !=, is /
 is not, in / not in), an arithmetic or boolean operator swapped (+ -, * //,
 << >>, and / or), a `not` dropped or an int constant moved by one either
 way.  In a table, two neighbouring entries of a tuple, a list, a call's
-arguments or a dict's values also trade places.  The module is rewritten
-with ast.unparse into a copy of the repository and the given tests run
-there with -x; a mutant that passes them survives.  The unparsed, unmutated
-module must pass the same tests first, and that run's time sets each
-mutant's timeout: a mutant run that takes longer (say, one whose mutation
-made a loop endless) is stopped and counts as killed.
+arguments or a dict's values also trade places, and one entry of a tuple,
+a list, a set or a dict (key and value) is dropped, so a table of strings
+alone gets mutants too.  The module is rewritten with ast.unparse into a
+copy of the repository and the given tests run there with -x; a mutant
+that passes them survives.  The unparsed, unmutated module must pass the
+same tests first, and that run's time sets each mutant's timeout: a mutant
+run that takes longer (say, one whose mutation made a loop endless) is
+stopped and counts as killed.
 """
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ SWAPS = {
     ast.In: ast.NotIn, ast.NotIn: ast.In, ast.And: ast.Or, ast.Or: ast.And,
 }
 ENTRIES = {ast.Tuple: "elts", ast.List: "elts", ast.Call: "args", ast.Dict: "values"}
+DROPS = {ast.Tuple: ["elts"], ast.List: ["elts"], ast.Set: ["elts"], ast.Dict: ["keys", "values"]}
 
 
 def targets(tree: ast.Module, names: set[str]) -> list[tuple[ast.stmt, ast.AST]]:
@@ -80,17 +83,8 @@ def mutants(tree: ast.Module, names: set[str]):
                 yield f"line {node.lineno}: {ast.unparse(node)}  ->  {ast.unparse(node.operand)}"
                 setattr(parent, field, old)
                 continue
-            elif type(node) in ENTRIES and root is not stmt:
-                field, before = ENTRIES[type(node)], ast.unparse(node)
-                items = getattr(node, field)
-                for i in range(len(items) - 1):
-                    a, b = items[i], items[i + 1]
-                    if ast.dump(a) != ast.dump(b):
-                        setattr(node, field, items[:i] + [b, a] + items[i + 2:])
-                        shown = (f"{before}  ->  {ast.unparse(node)}" if len(before) <= 60
-                                 else f"{ast.unparse(a)}  <->  {ast.unparse(b)}")  # a long table
-                        yield f"line {a.lineno}: {shown}"
-                        setattr(node, field, items)
+            elif (type(node) in ENTRIES or type(node) in DROPS) and root is not stmt:
+                yield from entry_mutants(node)
                 continue
             else:
                 continue
@@ -103,6 +97,35 @@ def mutants(tree: ast.Module, names: set[str]):
                 setattr(node, field, value)
                 yield f"line {node.lineno}: {before}  ->  {ast.unparse(shown)}"
                 setattr(node, field, old)
+
+
+def entry_mutants(node: ast.AST):
+    """Yield a label per traded or dropped entry of a table's container while node holds it."""
+    before = ast.unparse(node)
+
+    def label(entry: ast.AST, change: str) -> str:
+        shown = f"{before}  ->  {ast.unparse(node)}" if len(before) <= 60 else change  # a long table
+        return f"line {entry.lineno}: {shown}"
+
+    if field := ENTRIES.get(type(node)):
+        items = getattr(node, field)
+        for i in range(len(items) - 1):
+            a, b = items[i], items[i + 1]
+            if ast.dump(a) != ast.dump(b):
+                setattr(node, field, items[:i] + [b, a] + items[i + 2:])
+                yield label(a, f"{ast.unparse(a)}  <->  {ast.unparse(b)}")
+                setattr(node, field, items)
+    fields = DROPS.get(type(node), [])
+    columns = [getattr(node, f) for f in fields]
+    for i, item in enumerate(columns[-1] if columns else []):
+        for f, column in zip(fields, columns):
+            setattr(node, f, column[:i] + column[i + 1:])
+        entry = ast.unparse(item)
+        if isinstance(node, ast.Dict):  # shown as key: value, or **value
+            entry = ast.unparse(ast.Dict([columns[0][i]], [item]))[1:-1]
+        yield label(item, f"{entry} dropped")
+        for f, column in zip(fields, columns):
+            setattr(node, f, column)
 
 
 def dropped(parent: ast.AST, node: ast.UnaryOp) -> tuple[str, object]:
