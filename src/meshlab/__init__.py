@@ -7,7 +7,6 @@ tables, coefficient laws and closed forms.
 from .algebra import (
     EgfSeries,
     Poly,
-    fit_polynomial,
     sec_series,
     solve_linear_ode,
     tan_series,
@@ -30,14 +29,10 @@ from .permutations import (
     UP_DOWN,
     AlternatingClass,
     QuadrantSpec,
-    complement,
     enumerate_alternating,
-    is_down_up,
-    is_up_down,
     matches,
     mmp_count,
     quadrant_counts,
-    reverse,
 )
 
 __version__ = "0.1.0"

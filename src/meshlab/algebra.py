@@ -346,29 +346,3 @@ def sec_series(order: int) -> EgfSeries:
     return EgfSeries(
         Poly.monomial(ee[m], m) if m % 2 == 0 else _ZERO for m in range(order + 1)
     )
-
-
-def fit_polynomial(points: Sequence[tuple[Rational, Rational]]) -> Poly:
-    """
-    Lagrange interpolation through the given (x, y) pairs, exact.
-
-    Used to establish polynomiality of value sequences empirically: fit on
-    d + 1 points and check the interpolant reproduces further ones.
-
-    >>> fit_polynomial([(0, 1), (1, 2), (2, 5)])
-    Poly((1, 0, 1))
-    """
-    xs = [Fraction(x) for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation nodes must be distinct")
-    total = _ZERO
-    for i, (_, y) in enumerate(points):
-        basis = _ONE
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if i == j:
-                continue
-            basis = basis * Poly([-xj, 1])
-            denom *= xs[i] - xj
-        total = total + basis * (Fraction(y) / denom)
-    return total

@@ -21,7 +21,6 @@ from functools import cache
 from pathlib import Path
 
 from .algebra import Poly, Rational, sec_series, tan_series
-from .coeff_laws import unimodality_check
 from .distributions import (
     BruteForceLimitError,
     Family,
@@ -33,7 +32,14 @@ from .distributions import (
     sec_t_power_of_x,
 )
 from .permutations import DOWN_UP, UP_DOWN, QuadrantSpec, format_pattern
-from .verify import SUITE_RUNNERS, is_adjudication, report_json, run_suite, write_report
+from .verify import (
+    SUITE_RUNNERS,
+    is_adjudication,
+    report_json,
+    run_suite,
+    run_unimodality,
+    write_report,
+)
 
 DEFAULT_MAX_SERIES_ORDER = 40
 SERIES_ORDER_ENV = "MESHLAB_MAX_SERIES_ORDER"
@@ -315,16 +321,11 @@ def cmd_brute(args) -> int:
 
 
 def cmd_unimodal(args) -> int:
-    counterexample = False
-    for family in Family:
-        for record in unimodality_check(family, args.max_index):
-            ok = record["verdict"] == "pass"
-            counterexample |= not ok
-            print(
-                f"{family.value} index {record['n']}: "
-                f"{'unimodal' if ok else 'NOT UNIMODAL'} ({record['variant']})"
-            )
-    return 1 if counterexample else 0
+    result = run_unimodality(args.max_index)
+    for record in result.records:
+        verdict = "unimodal" if record["verdict"] == "pass" else "NOT UNIMODAL"
+        print(f"{record['family']} index {record['n']}: {verdict} ({record['variant']})")
+    return 0 if result.passed_strict else 1
 
 
 # ---------------------------------------------------------------------------

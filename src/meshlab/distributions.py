@@ -208,7 +208,7 @@ def _dist_brute_triangle(n: int, cls: AlternatingClass, ok1: list[bool], ok4: li
 
 
 def _dist_brute_extremes(
-    n: int, cls: AlternatingClass, ok1: list[bool], ok4: list[bool], q2: int | None, q3: int | None
+    n: int, cls: AlternatingClass, ok1: list[bool], ok2: list[bool], ok3: list[bool], ok4: list[bool]
 ) -> Poly:
     # For q2 and q3 in {None, 0, 1}, quadrants II and III ask at most whether
     # some earlier value lies above or below v, so the triangle's state
@@ -222,11 +222,13 @@ def _dist_brute_extremes(
     #     below the largest placed value) and c3 >= 1 iff j >= h;
     #   * g' = g if u >= g, else u (v is the new largest), and h' = h if
     #     j >= h, else j.
-    # A quadrant whose requirement is 0 asks nothing, so its extreme is not
-    # tracked and stays n.  groups[g, h] is the packed histogram vector over
-    # k, and each depth is one running sum per group, as in the triangle, whose
-    # argument for the field width w covers these slots too.
-    ok2, ok3 = ((q != 1, q is not None) for q in (q2, q3))  # indexed by count >= 1
+    # Requirements e, 0 and 1 give ok lists constant from entry 1 on, so
+    # ok2[c2 >= 1] and ok3[c3 >= 1] decide II and III (entry 1 is read only
+    # after a value is placed, so n >= 2).  An all-True list asks nothing: its
+    # extreme is not tracked and stays n.  groups[g, h] is the packed
+    # histogram vector over k, and each depth is one running sum per group,
+    # as in the triangle, whose argument for the width w covers these slots.
+    track2, track3 = not all(ok2), not all(ok3)
     w, start = _gap_dp_start(n, cls)
     groups = {(n, n): start}
     for d in range(n):
@@ -244,7 +246,7 @@ def _dist_brute_extremes(
                     continue
                 u = r - 1 - j
                 top, bottom = u < g, j < h
-                key = (u if top and q2 != 0 else g, j if bottom and q3 != 0 else h)
+                key = (u if top and track2 else g, j if bottom and track3 else h)
                 slot = grown.get(key)
                 if slot is None:
                     slot = grown[key] = [0] * r
@@ -353,7 +355,7 @@ def dist_brute(
     if spec.q2 == 0 and spec.q3 == 0:
         hist = _dist_brute_triangle(length, cls, ok1, ok4)
     elif spec.q2 in (None, 0, 1) and spec.q3 in (None, 0, 1):
-        hist = _dist_brute_extremes(length, cls, ok1, ok4, spec.q2, spec.q3)
+        hist = _dist_brute_extremes(length, cls, ok1, ok2, ok3, ok4)
     else:
         hist = _dist_brute_subset(length, cls, ok1, ok2, ok3, ok4)
     total = zigzag_numbers(length)[length]

@@ -160,27 +160,6 @@ def mmp_count(perm: Sequence[int], spec: QuadrantSpec) -> int:
     return sum(1 for i in range(1, len(perm) + 1) if matches(perm, i, spec))
 
 
-def reverse(perm: Sequence[int]) -> Perm:
-    """
-    Reverse the one-line word: p_n ... p_1.
-
-    >>> reverse((4, 7, 1, 5, 6, 9, 2, 8, 3))
-    (3, 8, 2, 9, 6, 5, 1, 7, 4)
-    """
-    return tuple(reversed(perm))
-
-
-def complement(perm: Sequence[int]) -> Perm:
-    """
-    Replace each value v by n + 1 - v.
-
-    >>> complement((1, 2))
-    (2, 1)
-    """
-    n = len(perm)
-    return tuple(n + 1 - v for v in perm)
-
-
 class AlternatingClass(enum.Enum):
     """The two alternating classes: up-down (p1 < p2 > p3 < ...) and down-up."""
 
@@ -200,23 +179,11 @@ UP_DOWN = AlternatingClass.UP_DOWN
 DOWN_UP = AlternatingClass.DOWN_UP
 
 
-def is_up_down(perm: Sequence[int]) -> bool:
-    """
-    p1 < p2 > p3 < p4 > ...  Length-1 permutations qualify (vacuously), so
-    they are members of both alternating classes.
-    """
-    return all((perm[j - 1] < perm[j]) == UP_DOWN.rises_into(j) for j in range(1, len(perm)))
-
-
-def is_down_up(perm: Sequence[int]) -> bool:
-    """p1 > p2 < p3 > p4 < ...  Length-1 permutations qualify here too."""
-    return all((perm[j - 1] < perm[j]) == DOWN_UP.rises_into(j) for j in range(1, len(perm)))
-
-
 def enumerate_alternating(n: int, cls: AlternatingClass) -> Iterator[Perm]:
     """
     Yield every alternating permutation of length n of the given class, in
-    lexicographic order of the one-line word.  n = 0 yields nothing.
+    lexicographic order of the one-line word.  n = 0 yields the empty word
+    once, as dist_brute counts it; a negative n yields nothing.
 
     Depth-first backtracking, inserting values left to right and checking the
     ascent/descent parity incrementally; memory stays O(n).
@@ -225,11 +192,9 @@ def enumerate_alternating(n: int, cls: AlternatingClass) -> Iterator[Perm]:
     [(1, 2)]
     >>> list(enumerate_alternating(3, DOWN_UP))
     [(2, 1, 3), (3, 1, 2)]
-    >>> [len(p) for p in enumerate_alternating(0, UP_DOWN)]
-    []
+    >>> list(enumerate_alternating(0, UP_DOWN))
+    [()]
     """
-    if n <= 0:
-        return
     used = [False] * (n + 1)
     prefix: list[int] = []
 

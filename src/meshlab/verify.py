@@ -182,10 +182,11 @@ def run_closed_forms() -> SuiteResult:
     return result
 
 
-def run_unimodality() -> SuiteResult:
+def run_unimodality(max_index: int = 8) -> SuiteResult:
+    """The unimodality scan of the four families' rows 1..max_index."""
     result = SuiteResult("unimodality")
     for family in Family:
-        result.records.extend(unimodality_check(family, 8))
+        result.records.extend(unimodality_check(family, max_index))
     return result
 
 

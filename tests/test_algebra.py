@@ -13,14 +13,13 @@ import meshlab.algebra
 from meshlab.algebra import (
     EgfSeries,
     Poly,
-    fit_polynomial,
     sec_series,
     solve_linear_ode,
     tan_series,
     tangent_number,
     zigzag_numbers,
 )
-from meshlab.permutations import is_up_down
+from helpers import fit_polynomial, is_up_down
 
 X = Poly.x()
 

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import meshlab.cli
+import meshlab.coeff_laws
 from meshlab.algebra import Poly
 from meshlab.cli import (
     format_pattern,
@@ -877,3 +878,37 @@ def test_unimodal(capsys):
 
 def test_unimodal_default_max_index(capsys):
     assert run(capsys, "unimodal") == run(capsys, "unimodal", "--max-index", "8")
+
+
+# sha256 of stdout, taken when cmd_unimodal ran its own loop over unimodality_check
+@pytest.mark.parametrize("max_index, digest", [
+    ("0", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("1", "a4c8bf9b7e2b7acc249bc05ec1d5b6ea97c59d2b70641695774f851d9a468f53"),
+    ("8", "567c0fcbf3fe50ea9cedc447eff4edc2e58fbbcc45b0571bc0c4456aa5d43891"),
+])
+def test_unimodal_output_bytes_are_pinned(capsys, max_index, digest):
+    code, out, err = run(capsys, "unimodal", "--max-index", max_index)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_unimodal_exits_1_on_a_counterexample(capsys, monkeypatch):
+    # no real row breaks unimodality: B's index 2 dips before its peak
+    real = meshlab.coeff_laws.family_polynomial
+
+    def rows(family, index):
+        return Poly([2, 1, 3]) if (family, index) == (Family.B, 2) else real(family, index)
+
+    monkeypatch.setattr(meshlab.coeff_laws, "family_polynomial", rows)
+    code, out, err = run(capsys, "unimodal", "--max-index", "2")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "A index 1: unimodal (mode at x^1)",
+        "A index 2: unimodal (mode at x^2)",
+        "B index 1: unimodal (mode at x^0)",
+        "B index 2: NOT UNIMODAL (mode at x^2)",
+        "C index 1: unimodal (mode at x^0)",
+        "C index 2: unimodal (mode at x^2)",
+        "D index 1: unimodal (mode at x^0)",
+        "D index 2: unimodal (mode at x^1)",
+    ]

@@ -9,7 +9,7 @@ from math import factorial, perm
 import pytest
 
 import meshlab.coeff_laws
-from meshlab.algebra import Poly, fit_polynomial, zigzag_numbers
+from meshlab.algebra import Poly, zigzag_numbers
 from meshlab.coeff_laws import (
     closed_form_check,
     closed_form_verdicts,
@@ -39,6 +39,7 @@ from meshlab.coeff_laws import (
 from meshlab.distributions import Family, family_polynomial
 from meshlab.permutations import UP_DOWN, QuadrantSpec
 from conftest import FULL_DEPTH
+from helpers import fit_polynomial
 
 
 def test_module_doctests():

@@ -126,11 +126,19 @@ def test_worker_partitioning_is_exact():
 
 
 def assert_matches_reference(length, cls, spec):
-    # the literal reference returns Poly() at length 0, where dist_brute
-    # follows the empty-permutation convention: one word, statistic 0
     fast = dist_brute(length, cls, spec)
-    assert fast == (_dist_brute_python(length, cls, spec) if length else Poly.one())
+    assert fast == _dist_brute_python(length, cls, spec)
     assert fast(1) == zigzag_numbers(length)[length]
+
+
+@pytest.mark.parametrize("cls", [UP_DOWN, DOWN_UP])
+def test_empty_word_counts_once_on_every_route(cls):
+    # one convention for length 0: the generator yields the empty word once,
+    # so the literal reference counts it as dist_brute does
+    assert list(enumerate_alternating(0, cls)) == [()]
+    # specs that route to the triangle, extremes and subset DPs
+    for spec in (MMP_Q1, QuadrantSpec(1, 0, None, 0), QuadrantSpec(None, 2, 0, 1)):
+        assert _dist_brute_python(0, cls, spec) == dist_brute(0, cls, spec) == Poly.one()
 
 
 wide_requirement = st.one_of(st.none(), st.integers(0, 3))

@@ -11,11 +11,11 @@ named by any of its names): a comparison flipped (< <=, > >=, == !=, is /
 is not, in / not in), an arithmetic or boolean operator swapped (+ -, * //,
 << >>, and / or), a `not` dropped or an int constant moved by one either
 way.  In a table, two neighbouring entries of a tuple, a list, a call's
-arguments or a dict's values also trade places, and one entry of a tuple,
-a list, a set or a dict (key and value) is dropped, so a table of strings
-alone gets mutants too.  The module is rewritten with ast.unparse into a
-copy of the repository and the given tests run there with -x; a mutant
-that passes them survives.  The unparsed, unmutated module must pass the
+arguments or a dict's values (a **mapping entry excepted) also trade
+places, and one entry of a tuple, a list, a set or a dict (key and value)
+is dropped, so a table of strings alone gets mutants too.  The module is
+rewritten with ast.unparse into a copy of the repository and the given
+tests run there with -x; a mutant that passes them survives.  The unparsed, unmutated module must pass the
 same tests first, and that run's time sets each mutant's timeout: a mutant
 run that takes longer (say, one whose mutation made a loop endless) is
 stopped and counts as killed.
@@ -111,7 +111,9 @@ def entry_mutants(node: ast.AST):
         items = getattr(node, field)
         for i in range(len(items) - 1):
             a, b = items[i], items[i + 1]
-            if ast.dump(a) != ast.dump(b):
+            # a **mapping entry has the key None: trading it would unpack the other value
+            spread = isinstance(node, ast.Dict) and None in node.keys[i:i + 2]
+            if ast.dump(a) != ast.dump(b) and not spread:
                 setattr(node, field, items[:i] + [b, a] + items[i + 2:])
                 yield label(a, f"{ast.unparse(a)}  <->  {ast.unparse(b)}")
                 setattr(node, field, items)
