@@ -32,7 +32,7 @@ class Poly:
 
     Immutable by convention: never mutate .coeffs.
 
-    >>> Poly([3, 2]) * Poly.x()
+    >>> Poly([3, 2]) * Poly([0, 1])
     Poly((0, 3, 2))
     >>> Poly([1, 2]).coefficient(5)
     Fraction(0, 1)
@@ -55,10 +55,6 @@ class Poly:
     @classmethod
     def one(cls) -> Poly:
         return _ONE
-
-    @classmethod
-    def x(cls) -> Poly:
-        return _X
 
     @classmethod
     def monomial(cls, coeff: Rational, power: int) -> Poly:
@@ -88,36 +84,19 @@ class Poly:
             out[i] += c
         return Poly(out)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> Poly:
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: Poly | Rational) -> Poly:
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other: Rational) -> Poly:
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other: Poly | Rational) -> Poly:
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return _ZERO
-            return Poly(tuple(c * other for c in self.coeffs))
+    def __mul__(self, other: Poly) -> Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         out: list[Rational] = []
         _mul_into(out, self.coeffs, other.coeffs, 1)
         return Poly(out)
 
-    __rmul__ = __mul__
-
-    def __call__(self, value):
-        """Evaluate by Horner's rule.  Works for rationals and for Poly values."""
-        result = value * 0  # additive zero of the argument's kind
+    def __call__(self, value: Rational) -> Fraction:
+        """Evaluate at a rational by Horner's rule."""
+        result = 0
         for c in reversed(self.coeffs):
             result = result * value + c
-        return Fraction(result) if type(result) is int else result
+        return Fraction(result)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
@@ -142,7 +121,6 @@ def _normal(c) -> Rational:
 
 _ZERO = Poly()
 _ONE = Poly([1])
-_X = Poly([0, 1])
 
 
 def _coerce(value: Poly | Rational) -> Poly:
@@ -217,10 +195,6 @@ class EgfSeries:
         self._check_order(other)
         return EgfSeries(a + b for a, b in zip(self.coeffs, other.coeffs))
 
-    def __sub__(self, other: EgfSeries) -> EgfSeries:
-        self._check_order(other)
-        return EgfSeries(a - b for a, b in zip(self.coeffs, other.coeffs))
-
     def __mul__(self, other: EgfSeries | Poly | Rational) -> EgfSeries:
         if isinstance(other, (Poly, int, Fraction)):
             factor = _coerce(other)
@@ -230,8 +204,6 @@ class EgfSeries:
         return EgfSeries(
             _binomial_term(self.coeffs, other.coeffs, n) for n in range(self.order + 1)
         )
-
-    __rmul__ = __mul__
 
     def integrate(self, constant: Poly | Rational = 0) -> EgfSeries:
         """

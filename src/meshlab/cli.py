@@ -170,7 +170,7 @@ def cmd_table(args) -> int:
     if args.cache:
         try:
             _update_cache(Path(args.cache), family, rows)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             print(f"error: cannot update cache {args.cache}: {exc}", file=sys.stderr)
             return 1
     return 0
@@ -220,11 +220,7 @@ def _update_cache(path: Path, family: Family, rows) -> None:
 
 
 def cmd_verify(args) -> int:
-    try:
-        results = run_suite(args.suite, max_length=args.max_length)
-    except BruteForceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    results = run_suite(args.suite, max_length=args.max_length)
     if args.report:
         try:
             write_report(args.report, results)
@@ -287,14 +283,7 @@ def cmd_brute(args) -> int:
     cls = UP_DOWN if args.cls == "ud" else DOWN_UP
     try:
         spec = parse_pattern(args.pattern)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         poly = dist_brute(args.length, cls, spec, force=args.force)
-    except BruteForceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -404,7 +393,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "series" and args.order > series_cap:
         parser.error(f"--order is capped at {series_cap}")
     # looked up per call, so a rebound cmd_* (a tracer's wrapper) is the one run
-    return globals()[f"cmd_{args.command}"](args)
+    try:
+        return globals()[f"cmd_{args.command}"](args)
+    except BruteForceLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

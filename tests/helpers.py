@@ -54,5 +54,5 @@ def fit_polynomial(points: Sequence[tuple[Rational, Rational]]) -> Poly:
                 continue
             basis = basis * Poly([-xj, 1])
             denom *= xs[i] - xj
-        total = total + basis * (Fraction(y) / denom)
+        total = total + basis * Poly([Fraction(y) / denom])
     return total

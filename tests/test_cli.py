@@ -273,6 +273,20 @@ def test_table_cache_malformed_still_prints(tmp_path, capsys, content):
     assert cache.read_text() == content
 
 
+def test_table_cache_too_deep_to_parse_still_prints(tmp_path, capsys):
+    # json.loads raises RecursionError, not ValueError, on deep nesting
+    cache = tmp_path / "deep.json"
+    cache.write_text("[" * 100_000)
+    old = cache.read_bytes()
+    code, out, err = run(
+        capsys, "table", "--family", "A", "--max-index", "1", "--cache", str(cache)
+    )
+    assert code == 1
+    assert "x" in out  # the table itself was printed
+    assert err.startswith(f"error: cannot update cache {cache}: ") and err.count("\n") == 1
+    assert cache.read_bytes() == old
+
+
 def test_table_cache_failed_write_keeps_the_old_cache(tmp_path, capsys, monkeypatch):
     # a write that stops half-way on a full disk must leave the old cache whole
     cache = tmp_path / "cache.json"
@@ -484,6 +498,25 @@ def test_brute_json(capsys):
     assert payload["permutations"] == 2
 
 
+def test_json_output_layout_is_pinned(capsys):
+    # json.loads reads any indent alike; the bytes here are the contract
+    code, out, err = run(
+        capsys, "brute", "--length", "3", "--class", "du", "--pattern", "1,0,0,0",
+        "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        '{\n  "length": 3,\n  "class": "du",\n  "pattern": "1,0,0,0",\n'
+        '  "coeffs": [\n    "0",\n    "1",\n    "1"\n  ],\n  "permutations": 2\n}\n'
+    )
+    code, out, err = run(capsys, "table", "--family", "D", "--max-index", "1", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == (
+        '[\n  {\n    "family": "D",\n    "index": 1,\n    "length": 1,\n'
+        '    "coeffs": [\n      "1"\n    ],\n    "provenance": "recursion"\n  }\n]\n'
+    )
+
+
 # --- verify command ----------------------------------------------------------
 
 
@@ -685,6 +718,31 @@ def test_verify_guard_refusal_prints_no_suite_line(capsys, monkeypatch):
         "error: brute-force enumeration of length 7 exceeds the guard (6); "
         "pass force=True or raise MESHLAB_MAX_BRUTE\n"
     )
+
+
+def test_verify_egf_guard_refuses_before_solving(capsys, monkeypatch):
+    # every length meets the guard before a series is solved, so a budget
+    # far past the guard is refused at once, not after an order-4000 solve
+    import meshlab.distributions as dist
+
+    def capped(solve):
+        def spy(*args):
+            if args[-1] > 14:
+                raise AssertionError(f"{solve.__name__} solved to order {args[-1]}")
+            return solve(*args)
+        return spy
+
+    monkeypatch.delenv("MESHLAB_MAX_BRUTE", raising=False)
+    monkeypatch.setattr(dist, "sec_t_power_of_x", capped(dist.sec_t_power_of_x))
+    monkeypatch.setattr(dist, "egf_family", capped(dist.egf_family))
+    code, out, err = run(capsys, "verify", "--suite", "egf", "--max-length", "2000")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: brute-force enumeration of length 16 exceeds the guard (14); "
+        "pass force=True or raise MESHLAB_MAX_BRUTE\n"
+    )
+    with pytest.raises(dist.BruteForceLimitError):
+        dist.oracle_equivalence(200)
 
 
 def test_verify_unwritable_report_in_process(capsys, tmp_path):

@@ -486,14 +486,14 @@ def test_fitted_forms_where_published_ones_fail():
     # q_2 carries (n+1) where the published text has (n-1)
     q2 = fit_ratio_polynomial("q", 2)
     factored = Poly([-2, 1]) * Poly([1, 1]) * Poly([-3, 1, 5])
-    assert q2 * 90 == factored
+    assert q2 * Poly([90]) == factored
     # s_2's linear tail is -8n - 13, not -68n + 47
-    assert fit_ratio_polynomial("s", 2) * 90 == Poly([0, -13, -8, 16, 5])
+    assert fit_ratio_polynomial("s", 2) * Poly([90]) == Poly([0, -13, -8, 16, 5])
     # s_3 matches the published numerator exactly; only the denominator
     # differs (5670, not 5760)
-    assert fit_ratio_polynomial("s", 3) * 5670 == Poly([0, -60, 656, -417, -340, 126, 35])
+    assert fit_ratio_polynomial("s", 3) * Poly([5670]) == Poly([0, -60, 656, -417, -340, 126, 35])
     # p_3's n^4 term is -189, not -198
-    assert fit_ratio_polynomial("p", 3) * 5670 == Poly([0, 192, -478, 213, 227, -189, 35])
+    assert fit_ratio_polynomial("p", 3) * Poly([5670]) == Poly([0, 192, -478, 213, 227, -189, 35])
 
 
 # --- unimodality --------------------------------------------------------------

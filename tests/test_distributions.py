@@ -762,6 +762,16 @@ def test_oracle_equivalence_small():
     assert records and all(r["verdict"] == "pass" for r in records)
 
 
+def test_oracle_equivalence_checks_each_length_and_class_once():
+    # lengths 1, 2, 3, up-down before down-up, two routes against the oracle each
+    records = oracle_equivalence(3)
+    assert [(r["check"], r["family"], r["n"]) for r in records] == [
+        (check, family, n)
+        for family, n in [("B", 1), ("D", 1), ("A", 1), ("C", 1), ("B", 2), ("D", 2)]
+        for check in ("oracle-vs-recursion", "oracle-vs-egf")
+    ]
+
+
 # --- symmetry and identity suites ------------------------------------------
 
 
