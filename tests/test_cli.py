@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import meshlab.cli
 import meshlab.coeff_laws
+import meshlab.distributions as dist
 from meshlab.algebra import Poly
 from meshlab.cli import (
     format_pattern,
@@ -723,8 +724,6 @@ def test_verify_guard_refusal_prints_no_suite_line(capsys, monkeypatch):
 def test_verify_egf_guard_refuses_before_solving(capsys, monkeypatch):
     # every length meets the guard before a series is solved, so a budget
     # far past the guard is refused at once, not after an order-4000 solve
-    import meshlab.distributions as dist
-
     def capped(solve):
         def spy(*args):
             if args[-1] > 14:
