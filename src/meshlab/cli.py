@@ -32,19 +32,14 @@ from .distributions import (
     sec_t_power_of_x,
 )
 from .permutations import DOWN_UP, UP_DOWN, QuadrantSpec, format_pattern
-from .verify import (
-    SUITE_RUNNERS,
-    is_adjudication,
-    report_json,
-    run_suite,
-    run_unimodality,
-    write_report,
-)
 
 DEFAULT_MAX_SERIES_ORDER = 40
 SERIES_ORDER_ENV = "MESHLAB_MAX_SERIES_ORDER"
 
 FORMATS = ("plain", "csv", "json", "latex")
+# verify.SUITE_RUNNERS' keys, in its order: verify (and with it coeff_laws and
+# reference) is imported only by the commands that run a suite
+SUITES = ("tables", "symmetry", "oracle", "egf", "coeff-laws", "closed-forms")
 WORKERS_HELP = (
     "accepted for compatibility; enumeration runs in one thread and the "
     "results do not depend on it"
@@ -220,6 +215,8 @@ def _update_cache(path: Path, family: Family, rows) -> None:
 
 
 def cmd_verify(args) -> int:
+    from .verify import is_adjudication, report_json, run_suite, write_report
+
     results = run_suite(args.suite, max_length=args.max_length)
     if args.report:
         try:
@@ -243,19 +240,15 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-_SERIES = {
-    "A": lambda order: egf_family(Family.A, order),
-    "B": lambda order: egf_family(Family.B, order),
-    "C": lambda order: egf_family(Family.C, order),
-    "D": lambda order: egf_family(Family.D, order),
-    "secx": sec_series,
-    "tanx": tan_series,
-    "sec^x": sec_t_power_of_x,
-}
+# --gf names a family A-D or one of these
+_SERIES = {"secx": sec_series, "tanx": tan_series, "sec^x": sec_t_power_of_x}
 
 
 def cmd_series(args) -> int:
-    series = _SERIES[args.gf](args.order)
+    if args.gf in _SERIES:
+        series = _SERIES[args.gf](args.order)
+    else:
+        series = egf_family(Family(args.gf), args.order)
     if args.format == "json":
         print(json.dumps(
             {
@@ -310,6 +303,8 @@ def cmd_brute(args) -> int:
 
 
 def cmd_unimodal(args) -> int:
+    from .verify import run_unimodality
+
     result = run_unimodality(args.max_index)
     for record in result.records:
         verdict = "unimodal" if record["verdict"] == "pass" else "NOT UNIMODAL"
@@ -351,9 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", help="JSON cache file to create or update")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument(
-        "--suite", required=True, choices=sorted(SUITE_RUNNERS) + ["all"]
-    )
+    p.add_argument("--suite", required=True, choices=sorted(SUITES) + ["all"])
     p.add_argument("--max-length", type=_int_at_least(1), default=None)
     p.add_argument("--workers", type=_int_at_least(1), default=1, help=WORKERS_HELP)
     p.add_argument("--strict", action="store_true",
@@ -362,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("plain", "json"), default="plain")
 
     p = sub.add_parser("series", help="EGF coefficients")
-    p.add_argument("--gf", required=True, choices=sorted(_SERIES))
+    p.add_argument("--gf", required=True, choices=sorted(_FAMILY_VALUES + tuple(_SERIES)))
     p.add_argument("--order", type=_int_at_least(0), required=True)
     p.add_argument("--format", choices=FORMATS, default="plain")
 
@@ -392,12 +385,20 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
     if args.command == "series" and args.order > series_cap:
         parser.error(f"--order is capped at {series_cap}")
+    # every coefficient prints whole: CPython's int-to-str digit limit (none
+    # before 3.10.7) is lifted for the command and the caller's put back after
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     # looked up per call, so a rebound cmd_* (a tracer's wrapper) is the one run
     try:
         return globals()[f"cmd_{args.command}"](args)
     except BruteForceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,10 @@ p and q satisfy double-sum recursions seeded by p_k(k+1) = T_{2k+1}/(2k+1)!!
 and q_k(k+1) = T_{2k+1}/(2k)!! (T the tangent numbers); r and s are finite
 sums consuming q and p values.  The double sums telescope in n, so p and q
 are running sums, kept by (k, n) for the life of the process: a row up to n
-costs O(k n) terms.  Two published versions of the q recursion disagree with
+costs O(k n) terms.  Every law is summed as integers over one denominator per
+(law, k), the lcm of its terms' denominators, and each value a caller gets is
+made a Fraction once; a level-law prediction is made once from the numerator
+times the multiplier.  Two published versions of the q recursion disagree with
 each other, so both are implemented behind a variant flag and an adjudication
 records which one the oracle confirms.
 """
@@ -26,7 +29,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from .algebra import Poly, tangent_number, zigzag_numbers
 from .distributions import MMP_Q1, Family, dist_brute, family_polynomial
@@ -55,31 +58,67 @@ def double_factorial(m: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+# The running sums of p and q differ only in a parity: p's seed is
+# T_{2k+1}/(2k+1)!! and its factors run (2t-2)(2t-4)..., q's seed is
+# T_{2k+1}/(2k)!! and its factors run (2t-1)(2t-3)....
+_P, _Q = 1, 0
+
+
+@cache
+def _running_scale(k: int, parity: int) -> tuple[int, int, tuple[int, ...]]:
+    """
+    The denominator D(k) of p_k (parity 1) or q_k (parity 0) at every n,
+
+        D(k) = lcm((2k+parity)!!, (2j+1)! D(k-j) for j = 1..k),   D(0) = 1,
+
+    with D(k) T_{2k+1}/(2k+parity)!! and, for j = 1..k, the integer weights
+    D(k) T_{2j+1} / ((2j+1)! D(k-j)) that make each double-sum term an int.
+    """
+    seed = double_factorial(2 * k + parity)
+    inner = [factorial(2 * j + 1) * _running_scale(k - j, parity)[0] for j in range(1, k + 1)]
+    den = lcm(seed, *inner)
+    weights = tuple(den // d * tangent_number(2 * j + 1) for j, d in enumerate(inner, 1))
+    return den, den // seed * tangent_number(2 * k + 1), weights
+
+
+@cache
+def _secant_scale(k: int, parity: int) -> tuple[int, tuple[int, ...]]:
+    """
+    The denominator of s_k (parity 1, a sum over p) or r_k (parity 0, over q),
+    lcm((2j)! D(k-j) for j = 0..k), and for j = 0..k the integer weights
+    D S_{2j} / ((2j)! D(k-j)), S the secant numbers.
+    """
+    ee = zigzag_numbers(2 * k)
+    inner = [factorial(2 * j) * _running_scale(k - j, parity)[0] for j in range(k + 1)]
+    den = lcm(*inner)
+    return den, tuple(den // d * ee[2 * j] for j, d in enumerate(inner))
+
+
 # p_k(n) and statement q_k(n) by (law, k, n), never by position, so a nested or
-# concurrent extension of one k stores equal values under equal keys.
-_RATIO_SUMS: dict[tuple, Fraction] = {}
+# concurrent extension of one k stores equal values under equal keys.  A value
+# is the numerator over _running_scale's denominator.
+_RATIO_SUMS: dict[tuple, int] = {}
 
 
-def _ratio_sum(law, k: int, n: int, seed_m: int, offset: int) -> Fraction:
+def _ratio_sum(law, k: int, n: int, parity: int) -> int:
     """
-    T_{2k+1}/seed_m!! + sum_{t=k+2}^{n} sum_{j=1}^{k} T_{2j+1} (2t+offset)
-    (2t+offset-2) ... (2t+offset-2j+2) / (2j+1)! * law(k-j, t-j-1), resumed
-    from the highest stored n below.
+    D(k) times T_{2k+1}/(2k+parity)!! + sum_{t=k+2}^{n} sum_{j=1}^{k} T_{2j+1}
+    (2t-1-parity)(2t-3-parity) ... (2t+1-parity-2j) / (2j+1)! * law(k-j, t-j-1),
+    an int (see _running_scale), resumed from the highest stored n below.
     """
+    if k == 0:
+        return 1
     top = n
     while (acc := _RATIO_SUMS.get((law, k, top))) is None:
         if top == k + 1:
-            acc = Fraction(tangent_number(2 * k + 1), double_factorial(seed_m))
+            acc = _running_scale(k, parity)[1]
             break
         top -= 1
+    weights = _running_scale(k, parity)[2]
     for t in range(top + 1, n + 1):
-        for j in range(1, k + 1):
-            value = law(k - j, t - j - 1)
-            factor = prod(range(2 * t + offset, 2 * t + offset - 2 * j, -2))
-            acc += Fraction(
-                tangent_number(2 * j + 1) * factor * value.numerator,
-                factorial(2 * j + 1) * value.denominator,
-            )
+        for j, weight in enumerate(weights, 1):
+            factor = prod(range(2 * t - 1 - parity, 2 * t - 1 - parity - 2 * j, -2))
+            acc += weight * factor * _ratio_sum(law, k - j, t - j - 1, parity)
         _RATIO_SUMS[law, k, t] = acc
     return acc
 
@@ -87,6 +126,26 @@ def _ratio_sum(law, k: int, n: int, seed_m: int, offset: int) -> Fraction:
 def _check_k(k: int) -> None:
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
+
+
+def _ratio(letter: str, k: int, n: int, variant: str = "statement") -> tuple[int, int]:
+    """
+    The law named by letter ("p" .. "s") at (k, n), after that law's domain
+    checks, as a numerator over the one denominator of (letter, k).
+    """
+    _check_k(k)
+    if variant not in ("statement", "in-proof"):
+        raise ValueError(f"unknown variant {variant!r}")
+    if n < k + 1 and (k or letter in "rs"):
+        raise ValueError(f"{letter}_{k} is defined for n >= {k + 1}")
+    if letter == "r":
+        return _secant_sum(q_value, _Q, k, n - 1, 2 * n - 1), _secant_scale(k, _Q)[0]
+    if letter == "s":
+        return _secant_sum(p_value, _P, k, n, 2 * n), _secant_scale(k, _P)[0]
+    if variant == "in-proof":
+        return _q_in_proof(k, n), _running_scale(k, _Q)[0]
+    law, parity = (p_value, _P) if letter == "p" else (q_value, _Q)
+    return _ratio_sum(law, k, n, parity), _running_scale(k, parity)[0]
 
 
 def p_value(k: int, n: int) -> Fraction:
@@ -102,12 +161,7 @@ def p_value(k: int, n: int) -> Fraction:
     >>> [p_value(1, n) for n in (2, 3, 4)]
     [Fraction(2, 3), Fraction(2, 1), Fraction(4, 1)]
     """
-    _check_k(k)
-    if k == 0:
-        return Fraction(1)
-    if n < k + 1:
-        raise ValueError(f"p_{k} is defined for n >= {k + 1}")
-    return _ratio_sum(p_value, k, n, 2 * k + 1, -2)
+    return Fraction(*_ratio("p", k, n))
 
 
 def q_value(k: int, n: int, variant: str = "statement") -> Fraction:
@@ -127,39 +181,40 @@ def q_value(k: int, n: int, variant: str = "statement") -> Fraction:
     >>> q_value(1, 2), q_value(1, 3)
     (Fraction(1, 1), Fraction(8, 3))
     """
-    _check_k(k)
-    if variant not in ("statement", "in-proof"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if k == 0:
-        return Fraction(1)
-    if n < k + 1:
-        raise ValueError(f"q_{k} is defined for n >= {k + 1}")
-    if variant == "in-proof":
-        return _q_in_proof(k, n)
-    return _ratio_sum(q_value, k, n, 2 * k, -1)
+    return Fraction(*_ratio("q", k, n, variant))
 
 
 @cache
-def _q_in_proof(k: int, n: int) -> Fraction:
-    acc = Fraction(tangent_number(2 * k + 1), double_factorial(2 * k))
-    for j in range(1, k + 1):
+def _q_in_proof(k: int, n: int) -> int:
+    """
+    The in-proof q_k(n) over q's denominator D(k) (see _running_scale), an int:
+
+        T_{2k+1}/(2k)!! + sum_{j=1}^{k} 2^j (2n-3)(2n-5)...(2n-2j+1)
+                          T_{2j+1} / (2j+1)!  *  sum_{t=k+2}^{n} q_{k-j}(t-j-1)
+    """
+    if k == 0:
+        return 1
+    _, acc, weights = _running_scale(k, _Q)
+    for j, weight in enumerate(weights, 1):
         factor = 2**j * prod(range(2 * n - 3, 2 * n - 1 - 2 * j, -2))
-        coeff = Fraction(tangent_number(2 * j + 1) * factor, factorial(2 * j + 1))
-        for t in range(k + 2, n + 1):
-            acc += coeff * q_value(k - j, t - j - 1, "in-proof")
+        acc += weight * factor * sum(_q_in_proof(k - j, t - j - 1) for t in range(k + 2, n + 1))
     return acc
 
 
-def _secant_sum(law, k: int, top: int) -> Fraction:
+def _secant_sum(law, parity: int, k: int, n: int, top: int) -> int:
     """
-    sum_{j=0}^{k} S_{2j} top (top-2) ... (top-2j+2) / (2j)! * law(k-j, j),
-    S the secant numbers: r_k(n) at top = 2n - 1 and s_k(n) at top = 2n.
+    sum_{j=0}^{k} S_{2j} top (top-2) ... (top-2j+2) / (2j)! * law(k-j, n-j) over
+    _secant_scale's denominator, an int, S the secant numbers: r_k(n) sums q
+    values at n - 1 and top = 2n - 1, s_k(n) sums p values at n and top = 2n.
+    law(m, m) is 0 for m >= 1: the row of length 2m (p) or 2m + 1 (q) has
+    degree 2m - 1 < 2m, so its level count at base + m vanishes.
     """
-    ee = zigzag_numbers(2 * k)
-    acc = Fraction(0)
-    for j in range(k + 1):
-        weight = Fraction(ee[2 * j] * prod(range(top, top - 2 * j, -2)), factorial(2 * j))
-        acc += weight * law(k - j, j)
+    acc = 0
+    for j, weight in enumerate(_secant_scale(k, parity)[1]):
+        m = k - j
+        if m and n - j == m:
+            continue
+        acc += weight * prod(range(top, top - 2 * j, -2)) * _ratio_sum(law, m, n - j, parity)
     return acc
 
 
@@ -175,13 +230,7 @@ def r_value(k: int, n: int) -> Fraction:
     >>> r_value(1, 2)
     Fraction(3, 2)
     """
-    _check_k(k)
-    if n < k + 1:
-        raise ValueError(f"r_{k} is defined for n >= {k + 1}")
-    return _secant_sum(
-        lambda m, j: Fraction(0) if m >= 1 and n - j - 1 == m else q_value(m, n - j - 1),
-        k, 2 * n - 1,
-    )
+    return Fraction(*_ratio("r", k, n))
 
 
 def s_value(k: int, n: int) -> Fraction:
@@ -192,10 +241,7 @@ def s_value(k: int, n: int) -> Fraction:
     >>> s_value(1, 3)
     Fraction(5, 1)
     """
-    _check_k(k)
-    if n < k + 1:
-        raise ValueError(f"s_{k} is defined for n >= {k + 1}")
-    return _secant_sum(lambda m, j: p_value(m, n - j), k, 2 * n)
+    return Fraction(*_ratio("s", k, n))
 
 
 def p_values(k: int, n_max: int) -> list[Fraction]:
@@ -220,23 +266,28 @@ def s_values(k: int, n_max: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-# The module docstring's table, at level parameter n: the ratio law's letter
-# and value function, base exponent n + base, multiplier (2n + multiplier)!!
-# and top term x^(L - top) in a row of length L.  Level n is the family row of
-# index n + Family.min_index(), of length 2n + min_index().
-_Level = namedtuple("_Level", "letter law base multiplier top")
+# The module docstring's table, at level parameter n: the ratio law's letter,
+# base exponent n + base, multiplier (2n + multiplier)!! and top term
+# x^(L - top) in a row of length L.  Level n is the family row of index
+# n + Family.min_index(), of length 2n + min_index().
+_Level = namedtuple("_Level", "letter base multiplier top")
 
 _LEVELS = {
-    Family.A: _Level("p", p_value, 0, -1, 1),
-    Family.B: _Level("q", q_value, 0, 0, 2),
-    Family.C: _Level("r", r_value, -1, -2, 2),
-    Family.D: _Level("s", s_value, 0, -1, 1),
+    Family.A: _Level("p", 0, -1, 1),
+    Family.B: _Level("q", 0, 0, 2),
+    Family.C: _Level("r", -1, -2, 2),
+    Family.D: _Level("s", 0, -1, 1),
 }
 _FAMILY_OF_LAW = {row.letter: family for family, row in _LEVELS.items()}
 
 
 def _level_polynomial(family: Family, n: int) -> Poly:
     return family_polynomial(family, n + family.min_index())
+
+
+def _row_coefficient(poly: Poly, e: int):
+    """The stored coefficient of x^e (an int in every family row), 0 outside the row."""
+    return poly.coeffs[e] if 0 <= e < len(poly.coeffs) else 0
 
 
 def level_length(family: Family, n: int) -> int:
@@ -263,23 +314,28 @@ def level_set(family: Family, n: int, k: int) -> int:
     28
     """
     _check_k(k)
-    value = _level_polynomial(family, n).coefficient(level_base(family, n) + k)
-    if value.denominator != 1:
+    value = _row_coefficient(_level_polynomial(family, n), level_base(family, n) + k)
+    if type(value) is not int:
         raise ArithmeticError(f"level-set count {value} is not an integer")
-    return int(value)
+    return value
 
 
 def level_set_brute(family: Family, n: int, k: int) -> int:
     """Same count, but from the enumeration oracle instead of the recursion."""
     _check_k(k)
     poly = dist_brute(level_length(family, n), family.alternating_class, MMP_Q1)
-    value = poly.coefficient(level_base(family, n) + k)
-    return int(value)
+    return _row_coefficient(poly, level_base(family, n) + k)
 
 
 def level_law_value(family: Family, k: int, n: int) -> Fraction:
     """The predicted level count: ratio polynomial times the multiplier."""
-    return _LEVELS[family].law(k, n) * level_multiplier(family, n)
+    return _prediction(family, n, _ratio(_LEVELS[family].letter, k, n))
+
+
+def _prediction(family: Family, n: int, ratio: tuple[int, int]) -> Fraction:
+    """A ratio law's level count at n: numerator (2n + multiplier)!! over denominator."""
+    num, den = ratio
+    return Fraction(num * level_multiplier(family, n), den)
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +356,12 @@ def lowest_coefficient_check(family: Family, index: int) -> dict:
     poly = family_polynomial(family, index)
     n = index - family.min_index()
     base, expected = level_base(family, n), level_multiplier(family, n)
-    below_ok = all(poly.coefficient(e) == 0 for e in range(base))
     return make_record(
         "lowest-coefficient",
         family=family,
         n=index,
-        expected=(True, Fraction(expected)),
-        actual=(below_ok, poly.coefficient(base)),
+        expected=(True, expected),
+        actual=(not any(poly.coeffs[:base]), _row_coefficient(poly, base)),
     )
 
 
@@ -329,31 +384,22 @@ def highest_coefficient_check(family: Family, index: int) -> dict:
         "highest-coefficient",
         family=family,
         n=index,
-        expected=(degree, Fraction(lead)),
-        actual=(poly.degree, poly.coefficient(poly.degree)),
+        expected=(degree, lead),
+        actual=(poly.degree, _row_coefficient(poly, poly.degree)),
     )
 
 
 def seed_identity_check(k_max: int) -> list[dict]:
     """p_k(k+1) = T_{2k+1}/(2k+1)!! and q_k(k+1) = T_{2k+1}/(2k)!!."""
-    records = []
-    for k in range(0, k_max + 1):
-        t = tangent_number(2 * k + 1)
-        records.append(
-            make_record(
-                "seed-p", family=Family.A, k=k, n=k + 1,
-                expected=Fraction(t, double_factorial(2 * k + 1)),
-                actual=p_value(k, k + 1),
-            )
+    return [
+        make_record(
+            f"seed-{letter}", family=_FAMILY_OF_LAW[letter], k=k, n=k + 1,
+            expected=Fraction(tangent_number(2 * k + 1), double_factorial(2 * k + parity)),
+            actual=Fraction(*_ratio(letter, k, k + 1)),
         )
-        records.append(
-            make_record(
-                "seed-q", family=Family.B, k=k, n=k + 1,
-                expected=Fraction(t, double_factorial(2 * k)),
-                actual=q_value(k, k + 1),
-            )
-        )
-    return records
+        for k in range(k_max + 1)
+        for letter, parity in (("p", _P), ("q", _Q))
+    ]
 
 
 def level_law_check(
@@ -366,21 +412,17 @@ def level_law_check(
     """
     if source not in ("recursion", "brute"):
         raise ValueError(f"unknown source {source!r}")
+    count = level_set if source == "recursion" else level_set_brute
     records = []
     for n in range(k + 1, n_max + 1):
-        if source == "recursion":
-            count = level_set(family, n, k)
-        else:
-            count = level_set_brute(family, n, k)
-        predicted = level_law_value(family, k, n)
         records.append(
             make_record(
                 f"level-law-{source}",
                 family=family,
                 k=k,
                 n=n,
-                expected=predicted,
-                actual=Fraction(count),
+                actual=count(family, n, k),
+                expected=level_law_value(family, k, n),
             )
         )
     return records
@@ -396,15 +438,14 @@ def q_variant_adjudication(k_max: int, n_max: int) -> list[dict]:
     for variant in ("statement", "in-proof"):
         for k in range(1, k_max + 1):
             for n in range(k + 1, n_max + 1):
-                predicted = q_value(k, n, variant) * level_multiplier(Family.B, n)
                 records.append(
                     make_record(
                         "q-recursion-variant",
                         family=Family.B,
                         k=k,
                         n=n,
-                        expected=Fraction(level_set(Family.B, n, k)),
-                        actual=predicted,
+                        expected=level_set(Family.B, n, k),
+                        actual=_prediction(Family.B, n, _ratio("q", k, n, variant)),
                         variant=variant,
                     )
                 )
@@ -433,7 +474,7 @@ def closed_form_check(which: str, k: int) -> list[dict]:
                 family=family,
                 k=k,
                 n=n,
-                expected=_LEVELS[family].law(k, n),
+                expected=Fraction(*_ratio(which, k, n)),
                 actual=poly(Fraction(n)),
                 variant=display,
             )
@@ -459,20 +500,18 @@ def unimodality_check(family: Family, max_index: int) -> list[dict]:
     """
     records = []
     for index in range(1, max_index + 1):
-        poly = family_polynomial(family, index)
-        coeffs = list(poly.coeffs)
+        coeffs = family_polynomial(family, index).coeffs
         first = next(i for i, c in enumerate(coeffs) if c)
-        run = coeffs[first:]
-        peak = max(range(len(run)), key=lambda i: run[i])
-        rising = all(run[i] <= run[i + 1] for i in range(peak))
-        falling = all(run[i] >= run[i + 1] for i in range(peak, len(run) - 1))
+        run = list(coeffs[first:])
+        peak = run.index(max(run))  # the first highest coefficient
+        rising, falling = run[: peak + 1], run[peak:]
         records.append(
             make_record(
                 "unimodal",
                 family=family,
                 n=index,
                 expected=True,
-                actual=rising and falling,
+                actual=rising == sorted(rising) and falling == sorted(falling, reverse=True),
                 variant=f"mode at x^{first + peak}",
             )
         )

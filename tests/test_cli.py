@@ -20,6 +20,7 @@ import meshlab.coeff_laws
 import meshlab.distributions as dist
 from meshlab.algebra import Poly
 from meshlab.cli import (
+    FORMATS,
     format_pattern,
     format_poly,
     format_poly_latex,
@@ -373,6 +374,33 @@ def test_series_usage_errors(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["series", "--gf", "A", "--order", "99"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_coefficients_past_the_int_digit_limit_print_whole(capsys, monkeypatch, fmt):
+    # E_340 has 649 digits: past a 640-digit limit every str(int) would raise
+    monkeypatch.setenv("MESHLAB_MAX_SERIES_ORDER", "340")
+    argv = ["series", "--gf", "secx", "--order", "340", "--format", fmt]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        unlimited = run(capsys, *argv)
+        sys.set_int_max_str_digits(640)
+        assert run(capsys, *argv) == unlimited
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    code, out, err = unlimited
+    assert (code, err) == (0, "")
+    assert max(map(len, re.findall(r"\d+", out))) == 649
+
+
+def test_main_runs_where_python_has_no_digit_limit(capsys, monkeypatch):
+    # before 3.10.7 there is no limit and no function to read or set one
+    expected = run(capsys, "series", "--gf", "secx", "--order", "6")
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    monkeypatch.delattr(sys, "set_int_max_str_digits")
+    assert run(capsys, "series", "--gf", "secx", "--order", "6") == expected
 
 
 def test_series_order_cap_is_configurable(capsys, monkeypatch):
@@ -794,6 +822,13 @@ def test_verify_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--suite", "everything"])
     assert excinfo.value.code == 2
+
+
+def test_suite_choices_name_every_runner_in_order():
+    # the CLI reads --suite's choices without importing verify
+    assert meshlab.cli.SUITES == tuple(SUITE_RUNNERS)
+    for name in [*SUITE_RUNNERS, "all"]:
+        assert meshlab.cli.build_parser().parse_args(["verify", "--suite", name]).suite == name
 
 
 # --- integer options and environment overrides ---------------------------------

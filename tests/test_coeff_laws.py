@@ -74,6 +74,15 @@ def test_level_set_matches_brute_force():
                 assert level_set(family, n, k) == level_set_brute(family, n, k)
 
 
+def test_level_sets_outside_the_row_are_zero():
+    # past the top term, and below x^0: C's level 0 is the row C_0 = 1, whose
+    # base exponent is -1
+    for count in (level_set, level_set_brute):
+        assert count(Family.A, 2, 5) == 0  # A_4 has degree 3
+        assert count(Family.C, 0, 0) == 0
+        assert count(Family.C, 0, 1) == 1
+
+
 def test_level_sets_refuse_a_negative_k_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("computed a row before checking k")
@@ -255,6 +264,65 @@ def literal_q(k, n):
     return acc
 
 
+@cache
+def literal_q_in_proof(k, n):
+    # the in-proof factor 2^j prod_{s=1}^{j-1} (2n-2s-1) reads n, not t
+    if k == 0:
+        return Fraction(1)
+    acc = Fraction(tangent(2 * k + 1), double_factorial(2 * k))
+    for j in range(1, k + 1):
+        odd = 1
+        for s in range(1, j):
+            odd *= 2 * n - 2 * s - 1
+        for t in range(k + 2, n + 1):
+            coeff = Fraction(tangent(2 * j + 1) * 2**j * odd, factorial(2 * j + 1))
+            acc += coeff * literal_q_in_proof(k - j, t - j - 1)
+    return acc
+
+
+def secant(m):
+    return zigzag_numbers(m)[m]
+
+
+# The secant sums of the r_value and s_value docstrings, term by term.
+def literal_r(k, n):
+    acc = Fraction(0)
+    for j in range(k + 1):
+        rising = 1
+        for s in range(1, j + 1):
+            rising *= 2 * n + 1 - 2 * s
+        m = k - j
+        q = Fraction(0) if m >= 1 and n - j - 1 == m else literal_q(m, n - j - 1)
+        acc += Fraction(secant(2 * j) * rising, factorial(2 * j)) * q
+    return acc
+
+
+def literal_s(k, n):
+    acc = Fraction(0)
+    for j in range(k + 1):
+        rising = 1
+        for s in range(1, j + 1):
+            rising *= 2 * n + 2 - 2 * s
+        acc += Fraction(secant(2 * j) * rising, factorial(2 * j)) * literal_p(k - j, n - j)
+    return acc
+
+
+@pytest.mark.parametrize(
+    "law, literal",
+    [
+        (partial(q_value, variant="in-proof"), literal_q_in_proof),
+        (r_value, literal_r),
+        (s_value, literal_s),
+    ],
+    ids=["q in-proof", "r", "s"],
+)
+def test_integer_sums_match_the_literal_fraction_sums(fresh_sums, law, literal):
+    for k in range(5):
+        for n in range(k + 1, 21):
+            value = law(k, n)
+            assert type(value) is Fraction and value == literal(k, n), (k, n)
+
+
 # sha256 of repr([law(k, n) for k in 0..5 for n in k+1..30]), taken from the
 # double sums summed afresh for every n.
 RATIO_DIGESTS = {
@@ -340,10 +408,14 @@ def test_threads_extending_the_same_rows_store_equal_values(fresh_sums):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    literal = {p_value: literal_p, q_value: literal_q}
+    # the store holds each value's numerator over the one denominator of its (law, k)
+    laws = meshlab.coeff_laws
+    literal = {p_value: (literal_p, laws._P), q_value: (literal_q, laws._Q)}
     assert len(fresh_sums) == 2 * (38 + 37 + 36 + 35)
     for (law, k, n), value in fresh_sums.items():
-        assert value == literal[law](k, n), (law.__name__, k, n)
+        reference, parity = literal[law]
+        den = laws._running_scale(k, parity)[0]
+        assert Fraction(value, den) == reference(k, n), (law.__name__, k, n)
 
 
 def test_cold_long_row_recurses_only_in_k(fresh_sums):

@@ -337,7 +337,7 @@ _IMPORT_ADDS = (
 
 @pytest.mark.parametrize("module,absent", [
     ("meshlab", {"dataclasses", "meshlab.coeff_laws", "meshlab.reference"}),
-    ("meshlab.cli", {"dataclasses"}),
+    ("meshlab.cli", {"dataclasses", "meshlab.verify", "meshlab.coeff_laws", "meshlab.reference"}),
 ])
 def test_import_cold_start_stays_lean(module, absent):
     # diff sys.modules around the import, so what site loads cannot count
@@ -755,6 +755,44 @@ def test_headline_theorems_against_the_oracle_past_length_twelve():
         assert sec_power.coefficient(length) == dist_brute(
             length, UP_DOWN, QuadrantSpec(1, 0, None, 0), force=True
         )
+
+
+# Far past the guard the polynomial-state DPs pack thousands of bits per
+# slot, so a field too narrow would carry one coefficient into the next.
+
+
+def test_triangle_dp_through_length_forty():
+    for length in range(1, 41):
+        for cls in (UP_DOWN, DOWN_UP):
+            family = family_for(length, cls)
+            row = family_polynomial(family, family.index_for_length(length))
+            assert dist_brute(length, cls, MMP_Q1, force=True) == row, (length, cls)
+
+
+def test_extremes_dp_against_the_sec_power_through_length_forty():
+    # (sec t)^x is MMP(1,0,e,0) over up-down words of even length
+    series = sec_t_power_of_x(40)
+    spec = QuadrantSpec(1, 0, None, 0)
+    for length in range(0, 41, 2):
+        assert dist_brute(length, UP_DOWN, spec, force=True) == series.coefficient(length), length
+
+
+@pytest.mark.parametrize("length", [24, 32, 40])
+def test_symmetry_chains_far_past_the_guard(length):
+    for cls in (UP_DOWN, DOWN_UP):
+        family = family_for(length, cls)
+        row = family_polynomial(family, family.index_for_length(length))
+        for spec, other_cls in meshlab.distributions._SYMMETRY_CHAINS[family]:
+            assert dist_brute(length, other_cls, spec, force=True) == row, (spec, other_cls)
+
+
+def test_both_extremes_tracked_at_length_thirty():
+    # MMP(0,e,1,e) asks about quadrants II and III, so the extremes DP tracks
+    # both; its reverse-complement image MMP(1,e,0,e) tracks II alone
+    for cls in (UP_DOWN, DOWN_UP):
+        assert dist_brute(30, cls, QuadrantSpec(0, None, 1, None), force=True) == dist_brute(
+            30, rc_class(30, cls), QuadrantSpec(1, None, 0, None), force=True
+        ), cls
 
 
 def test_oracle_equivalence_small():
