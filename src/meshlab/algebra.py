@@ -195,10 +195,11 @@ class EgfSeries:
         self._check_order(other)
         return EgfSeries(a + b for a, b in zip(self.coeffs, other.coeffs))
 
-    def __mul__(self, other: EgfSeries | Poly | Rational) -> EgfSeries:
-        if isinstance(other, (Poly, int, Fraction)):
-            factor = _coerce(other)
-            return EgfSeries(c * factor for c in self.coeffs)
+    def __mul__(self, other: EgfSeries | Poly) -> EgfSeries:
+        if isinstance(other, Poly):
+            return EgfSeries(c * other for c in self.coeffs)
+        if not isinstance(other, EgfSeries):
+            return NotImplemented
         self._check_order(other)
         # EGF product: c_n(fg) = sum_k binom(n, k) c_k(f) c_{n-k}(g)
         return EgfSeries(

@@ -94,22 +94,23 @@ def _secant_scale(k: int, parity: int) -> tuple[int, tuple[int, ...]]:
     return den, tuple(den // d * ee[2 * j] for j, d in enumerate(inner))
 
 
-# p_k(n) and statement q_k(n) by (law, k, n), never by position, so a nested or
-# concurrent extension of one k stores equal values under equal keys.  A value
-# is the numerator over _running_scale's denominator.
+# p_k(n) and statement q_k(n) by (parity, k, n), never by position, so a nested
+# or concurrent extension of one k stores equal values under equal keys.  A
+# value is the numerator over _running_scale's denominator.
 _RATIO_SUMS: dict[tuple, int] = {}
 
 
-def _ratio_sum(law, k: int, n: int, parity: int) -> int:
+def _ratio_sum(parity: int, k: int, n: int) -> int:
     """
     D(k) times T_{2k+1}/(2k+parity)!! + sum_{t=k+2}^{n} sum_{j=1}^{k} T_{2j+1}
     (2t-1-parity)(2t-3-parity) ... (2t+1-parity-2j) / (2j+1)! * law(k-j, t-j-1),
-    an int (see _running_scale), resumed from the highest stored n below.
+    law being p (parity 1) or q (parity 0), an int (see _running_scale),
+    resumed from the highest stored n below.
     """
     if k == 0:
         return 1
     top = n
-    while (acc := _RATIO_SUMS.get((law, k, top))) is None:
+    while (acc := _RATIO_SUMS.get((parity, k, top))) is None:
         if top == k + 1:
             acc = _running_scale(k, parity)[1]
             break
@@ -118,8 +119,8 @@ def _ratio_sum(law, k: int, n: int, parity: int) -> int:
     for t in range(top + 1, n + 1):
         for j, weight in enumerate(weights, 1):
             factor = prod(range(2 * t - 1 - parity, 2 * t - 1 - parity - 2 * j, -2))
-            acc += weight * factor * _ratio_sum(law, k - j, t - j - 1, parity)
-        _RATIO_SUMS[law, k, t] = acc
+            acc += weight * factor * _ratio_sum(parity, k - j, t - j - 1)
+        _RATIO_SUMS[parity, k, t] = acc
     return acc
 
 
@@ -139,13 +140,13 @@ def _ratio(letter: str, k: int, n: int, variant: str = "statement") -> tuple[int
     if n < k + 1 and (k or letter in "rs"):
         raise ValueError(f"{letter}_{k} is defined for n >= {k + 1}")
     if letter == "r":
-        return _secant_sum(q_value, _Q, k, n - 1, 2 * n - 1), _secant_scale(k, _Q)[0]
+        return _secant_sum(_Q, k, n - 1, 2 * n - 1), _secant_scale(k, _Q)[0]
     if letter == "s":
-        return _secant_sum(p_value, _P, k, n, 2 * n), _secant_scale(k, _P)[0]
+        return _secant_sum(_P, k, n, 2 * n), _secant_scale(k, _P)[0]
     if variant == "in-proof":
         return _q_in_proof(k, n), _running_scale(k, _Q)[0]
-    law, parity = (p_value, _P) if letter == "p" else (q_value, _Q)
-    return _ratio_sum(law, k, n, parity), _running_scale(k, parity)[0]
+    parity = _P if letter == "p" else _Q
+    return _ratio_sum(parity, k, n), _running_scale(k, parity)[0]
 
 
 def p_value(k: int, n: int) -> Fraction:
@@ -201,11 +202,12 @@ def _q_in_proof(k: int, n: int) -> int:
     return acc
 
 
-def _secant_sum(law, parity: int, k: int, n: int, top: int) -> int:
+def _secant_sum(parity: int, k: int, n: int, top: int) -> int:
     """
     sum_{j=0}^{k} S_{2j} top (top-2) ... (top-2j+2) / (2j)! * law(k-j, n-j) over
     _secant_scale's denominator, an int, S the secant numbers: r_k(n) sums q
-    values at n - 1 and top = 2n - 1, s_k(n) sums p values at n and top = 2n.
+    values (parity 0) at n - 1 and top = 2n - 1, s_k(n) sums p values
+    (parity 1) at n and top = 2n.
     law(m, m) is 0 for m >= 1: the row of length 2m (p) or 2m + 1 (q) has
     degree 2m - 1 < 2m, so its level count at base + m vanishes.
     """
@@ -214,7 +216,7 @@ def _secant_sum(law, parity: int, k: int, n: int, top: int) -> int:
         m = k - j
         if m and n - j == m:
             continue
-        acc += weight * prod(range(top, top - 2 * j, -2)) * _ratio_sum(law, m, n - j, parity)
+        acc += weight * prod(range(top, top - 2 * j, -2)) * _ratio_sum(parity, m, n - j)
     return acc
 
 

@@ -46,11 +46,11 @@ MMP_Q1 = QuadrantSpec(1, 0, 0, 0)
 # Hard guard for the exhaustive oracle.  At length 14 the literal reference
 # would make ~2 * 10^8 statistic evaluations per class, and dist_brute's
 # subset DP fills a 2^14-slot table (tracemalloc peak ~1.2 MB); beyond that
-# you must opt in explicitly.  Of dist_brute's three DPs only the subset DP
-# needs it: specs with quadrants II and III unconstrained run the triangle
-# DP, O(n^2) additions, and specs whose II and III ask e, 0 or 1 the
-# extremes DP, O(n^4) steps.  The guard applies to every spec alike, so
-# whether a call is refused depends on its length alone.
+# you must opt in explicitly.  Of dist_brute's two DPs only the subset DP
+# needs it: specs whose quadrants II and III ask e, 0 or 1 run the extremes
+# DP, O(n^4) steps, and n(n+1)/2 additions when II and III are both
+# unconstrained.  The guard applies to every spec alike, so whether a call
+# is refused depends on its length alone.
 DEFAULT_BRUTE_LIMIT = 14
 BRUTE_LIMIT_ENV = "MESHLAB_MAX_BRUTE"
 
@@ -171,65 +171,43 @@ def _unpacked(packed: int, w: int, n: int) -> Poly:
     return Poly([(packed >> (k * w)) & mask for k in range(n + 1)])
 
 
-def _gap_dp_start(n: int, cls: AlternatingClass) -> tuple[int, list[int]]:
-    """Field width w and opening vector over gaps of the triangle and extremes DPs."""
-    ee = zigzag_numbers(n)
-    w = max(comb(n, d) * ee[d] for d in range(n + 1)).bit_length()
-    start = [0] * (n + 1)
-    start[0 if cls.rises_into(0) else n] = 1
-    return w, start
-
-
-def _dist_brute_triangle(n: int, cls: AlternatingClass, ok1: list[bool], ok4: list[bool]) -> Poly:
-    # With quadrants II and III unconstrained, a position's match depends only
-    # on the rank j of its value v among the r values not yet placed (v
-    # included): the r - 1 later entries are the others, so c4 = j and
-    # c1 = r - 1 - j.  A prefix's future thus depends only on which gap of
-    # its unplaced values holds its last value, and ends[k] is the packed
-    # histogram of the prefixes whose last value has k unplaced values below
-    # it: the boustrophedon (Entringer) triangle, with x marking matches.  A
-    # value of rank j may follow the gaps k <= j on an ascent and k > j on a
-    # descent, so each depth is one running sum over ends, and the new last
-    # value leaves j unplaced values below it.  A virtual value 0 (before an
+def _dist_brute_extremes(
+    n: int, cls: AlternatingClass, ok1: list[bool], ok2: list[bool], ok3: list[bool], ok4: list[bool]
+) -> Poly:
+    # For q2 and q3 in {None, 0, 1}, quadrants II and III ask at most whether
+    # some earlier value lies above or below v.  Quadrants I and IV depend
+    # only on the rank j of v among the r values not yet placed (v included):
+    # the r - 1 later entries are the others, so c4 = j and c1 = u = r - 1 - j.
+    # A prefix's future thus depends only on which gap of its unplaced values
+    # holds its last value and on its largest and smallest placed values, so
+    # prefixes are grouped by (k, g, h): k unplaced values lie below the last
+    # value, g above the largest placed value and h below the smallest (n
+    # each while nothing is placed).  Placing the value of rank j:
+    #   * it needs j >= k on an ascent and j < k on a descent; k' = j;
+    #   * c2 >= 1 iff u >= g (v lies below the largest placed value) and
+    #     c3 >= 1 iff j >= h;
+    #   * g' = g if u >= g, else u (v is the new largest), and h' = h if
+    #     j >= h, else j.
+    # Requirements e, 0 and 1 give ok lists constant from entry 1 on, so
+    # ok2[c2 >= 1] and ok3[c3 >= 1] decide II and III (entry 1 is read only
+    # after a value is placed, so n >= 2).  An all-True list asks nothing:
+    # its extreme is not tracked and stays n.  With neither tracked (II and
+    # III both 0, as in MMP(1,0,0,0)) there is one group, and the DP is the
+    # boustrophedon (Entringer) triangle with x marking matches.
+    #
+    # groups[g, h] is the packed histogram vector over k.  A value of rank j
+    # may follow the gaps k <= j on an ascent and k > j on a descent, so each
+    # depth is one running sum per group.  A virtual value 0 (before an
     # ascent) or n + 1 (before a descent) opens the word, so any value may
     # come first.  One slot merges prefixes over every placed set, so it can
     # hold more than E_n of them; a coefficient counts at most the class
     # prefixes of length d, C(n, d) E_d (a set of d values, arranged
     # alternating), so w bits hold every coefficient without a carry.
-    w, ends = _gap_dp_start(n, cls)
-    for d in range(n):
-        r = n - d
-        if cls.rises_into(d):
-            sums = list(accumulate(ends[:r]))  # sums[j]: gaps 0..j
-        else:
-            sums = list(accumulate(ends[:0:-1]))[::-1]  # sums[j]: gaps j+1..r
-        ends = [s << w if ok1[r - 1 - j] and ok4[j] else s for j, s in enumerate(sums)]
-    return _unpacked(ends[0], w, n)
-
-
-def _dist_brute_extremes(
-    n: int, cls: AlternatingClass, ok1: list[bool], ok2: list[bool], ok3: list[bool], ok4: list[bool]
-) -> Poly:
-    # For q2 and q3 in {None, 0, 1}, quadrants II and III ask at most whether
-    # some earlier value lies above or below v, so the triangle's state
-    # needs only the largest and smallest placed values beside it.  A prefix
-    # is grouped by (k, g, h): k unplaced values lie below its last value (as
-    # in the triangle), g above its largest placed value and h below its
-    # smallest (n each while nothing is placed).  Placing the unplaced value
-    # of rank j among r, with u = r - 1 - j unplaced values above it:
-    #   * it needs j >= k on an ascent and j < k on a descent; k' = j;
-    #   * c1 = u and c4 = j, as in the triangle; c2 >= 1 iff u >= g (v lies
-    #     below the largest placed value) and c3 >= 1 iff j >= h;
-    #   * g' = g if u >= g, else u (v is the new largest), and h' = h if
-    #     j >= h, else j.
-    # Requirements e, 0 and 1 give ok lists constant from entry 1 on, so
-    # ok2[c2 >= 1] and ok3[c3 >= 1] decide II and III (entry 1 is read only
-    # after a value is placed, so n >= 2).  An all-True list asks nothing: its
-    # extreme is not tracked and stays n.  groups[g, h] is the packed
-    # histogram vector over k, and each depth is one running sum per group,
-    # as in the triangle, whose argument for the width w covers these slots.
     track2, track3 = not all(ok2), not all(ok3)
-    w, start = _gap_dp_start(n, cls)
+    ee = zigzag_numbers(n)
+    w = max(comb(n, d) * ee[d] for d in range(n + 1)).bit_length()
+    start = [0] * (n + 1)
+    start[0 if cls.rises_into(0) else n] = 1
     groups = {(n, n): start}
     for d in range(n):
         r = n - d
@@ -326,17 +304,17 @@ def dist_brute(
     given length and class.
 
     Lengths above the guard (see brute_force_limit) raise
-    BruteForceLimitError unless force=True.  The spec picks one of three
-    DPs.  When it leaves quadrants II and III unconstrained (MMP(a,0,0,d),
-    the quadrant-I statistic among them), all words whose last value has
-    the same rank among the values not yet placed are extended together:
-    the boustrophedon triangle, n(n+1)/2 additions.  When II and III each
-    ask e, 0 or 1 (MMP(1,0,e,0) among them), the words are also grouped by
-    how many unplaced values lie above their largest and below their
-    smallest placed value, O(n^4) steps.  Any other spec extends together
-    all words that share their placed values and last value, O(n^2 2^n)
-    steps.  _dist_brute_python, mmp_count on every generated word, is the
-    literal reference the three are tested against.
+    BruteForceLimitError unless force=True.  The spec picks one of two
+    DPs.  When quadrants II and III each ask e, 0 or 1 (MMP(1,0,e,0) and
+    the quadrant-I statistic MMP(1,0,0,0) among them), all words whose last
+    value has the same rank among the values not yet placed, and as many
+    unplaced values above their largest and below their smallest placed
+    value, are extended together, O(n^4) steps.  An extreme whose quadrant
+    is unconstrained is not tracked, so MMP(a,0,0,d) runs the boustrophedon
+    triangle, n(n+1)/2 additions.  Any other spec extends together all
+    words that share their placed values and last value, O(n^2 2^n) steps.
+    _dist_brute_python, mmp_count on every generated word, is the literal
+    reference the two are tested against.
 
     A histogram that does not sum to the zigzag number E_length raises
     ArithmeticError.  Enumeration runs in the calling thread; workers is
@@ -352,9 +330,7 @@ def dist_brute(
     ok1, ok2, ok3, ok4 = (
         [c == 0 if req is None else c >= req for c in range(length)] for req in spec.requirements
     )
-    if spec.q2 == 0 and spec.q3 == 0:
-        hist = _dist_brute_triangle(length, cls, ok1, ok4)
-    elif spec.q2 in (None, 0, 1) and spec.q3 in (None, 0, 1):
+    if spec.q2 in (None, 0, 1) and spec.q3 in (None, 0, 1):
         hist = _dist_brute_extremes(length, cls, ok1, ok2, ok3, ok4)
     else:
         hist = _dist_brute_subset(length, cls, ok1, ok2, ok3, ok4)

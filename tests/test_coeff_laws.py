@@ -352,8 +352,9 @@ def test_running_sums_match_the_literal_double_sums(fresh_sums, descending_first
         for k, n in order:
             assert p_value(k, n) == literal_p(k, n), (k, n)
             assert q_value(k, n) == literal_q(k, n), (k, n)
+    parities = (meshlab.coeff_laws._P, meshlab.coeff_laws._Q)
     assert set(fresh_sums) == {
-        (law, k, n) for law in (p_value, q_value) for k in range(1, 5) for n in range(k + 2, 21)
+        (parity, k, n) for parity in parities for k in range(1, 5) for n in range(k + 2, 21)
     }
 
 
@@ -408,14 +409,14 @@ def test_threads_extending_the_same_rows_store_equal_values(fresh_sums):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    # the store holds each value's numerator over the one denominator of its (law, k)
+    # the store holds each value's numerator over the one denominator of its
+    # (parity, k): parity 1 for p, 0 for q
     laws = meshlab.coeff_laws
-    literal = {p_value: (literal_p, laws._P), q_value: (literal_q, laws._Q)}
+    literal = {laws._P: literal_p, laws._Q: literal_q}
     assert len(fresh_sums) == 2 * (38 + 37 + 36 + 35)
-    for (law, k, n), value in fresh_sums.items():
-        reference, parity = literal[law]
+    for (parity, k, n), value in fresh_sums.items():
         den = laws._running_scale(k, parity)[0]
-        assert Fraction(value, den) == reference(k, n), (law.__name__, k, n)
+        assert Fraction(value, den) == literal[parity](k, n), (parity, k, n)
 
 
 def test_cold_long_row_recurses_only_in_k(fresh_sums):

@@ -88,13 +88,13 @@ def test_engines_agree(spec):
             assert dist_brute(length, cls, spec) == _dist_brute_python(length, cls, spec)
 
 
-_DPS = ("_dist_brute_triangle", "_dist_brute_extremes", "_dist_brute_subset")
+_DPS = ("_dist_brute_extremes", "_dist_brute_subset")
 
 
 def test_dist_brute_routes_each_spec_to_one_dp(monkeypatch):
-    # all three DPs give the same histograms, so only the route shows which
-    # ran: II and III both 0 run the triangle, both in {e, 0, 1} otherwise
-    # the extremes DP, and a 2 or 3 in either the subset DP
+    # both DPs give the same histograms, so only the route shows which ran:
+    # II and III both in {e, 0, 1} run the extremes DP (both 0 included),
+    # and a 2 or 3 in either the subset DP
     routed = []
     for name in _DPS:
         dp = getattr(meshlab.distributions, name)
@@ -109,12 +109,7 @@ def test_dist_brute_routes_each_spec_to_one_dp(monkeypatch):
         routed.clear()
         dist_brute(5, DOWN_UP, QuadrantSpec(*reqs))
         b, c = reqs[1:3]
-        if b == c == 0:
-            expected = "_dist_brute_triangle"
-        elif b in small and c in small:
-            expected = "_dist_brute_extremes"
-        else:
-            expected = "_dist_brute_subset"
+        expected = "_dist_brute_extremes" if b in small and c in small else "_dist_brute_subset"
         assert routed == [expected], reqs
 
 
@@ -136,7 +131,8 @@ def test_empty_word_counts_once_on_every_route(cls):
     # one convention for length 0: the generator yields the empty word once,
     # so the literal reference counts it as dist_brute does
     assert list(enumerate_alternating(0, cls)) == [()]
-    # specs that route to the triangle, extremes and subset DPs
+    # specs that route to the extremes DP with no extreme tracked and with
+    # one, and to the subset DP
     for spec in (MMP_Q1, QuadrantSpec(1, 0, None, 0), QuadrantSpec(None, 2, 0, 1)):
         assert _dist_brute_python(0, cls, spec) == dist_brute(0, cls, spec) == Poly.one()
 
@@ -158,10 +154,11 @@ def test_incremental_engine_matches_reference(length, cls, reqs):
 def test_incremental_engine_on_short_words(length):
     # 9 exceeds every quadrant count, so each quadrant runs its "empty",
     # "at least k" and "never met" threshold entries.  Up to length 5 every
-    # spec runs, so all three DPs (triangle, extremes, subset) meet the
-    # reference there.  Past length 5 only the specs with quadrants II and
-    # III unconstrained run (the triangle DP); the literal reference makes
-    # the rest too slow to run them all
+    # spec runs, so both DPs (extremes, subset) meet the reference there,
+    # the extremes DP with each choice of tracked extremes.  Past length 5
+    # only the specs with quadrants II and III unconstrained run (the
+    # extremes DP, no extreme tracked); the literal reference makes the rest
+    # too slow to run them all
     entries = (None, 0, 1, 2, 9)
     middles = itertools.product(entries, repeat=2) if length <= 5 else [(0, 0)]
     for (b, c), (a, d) in itertools.product(middles, itertools.product(entries, repeat=2)):
@@ -172,7 +169,7 @@ def test_incremental_engine_on_short_words(length):
 @pytest.mark.parametrize("spec", [
     QuadrantSpec(None, 2, 0, 1),  # the subset DP
     QuadrantSpec(1, 0, None, 2),  # the extremes DP
-    QuadrantSpec(2, 0, 0, 1), QuadrantSpec(None, 0, 0, 2),  # the triangle DP
+    QuadrantSpec(2, 0, 0, 1), QuadrantSpec(None, 0, 0, 2),  # the extremes DP, untracked
 ])
 @pytest.mark.parametrize("cls", [UP_DOWN, DOWN_UP])
 def test_incremental_engine_at_length_nine(cls, spec):
@@ -183,11 +180,11 @@ def test_incremental_engine_at_length_nine(cls, spec):
 def test_packed_histogram_boundaries(cls):
     # dist_brute packs the coefficients of a histogram into fixed
     # fields: E_n.bit_length() bits in the subset DP, where a state holds at
-    # most E_n words, and the wider max_d C(n, d) E_d bits in the triangle
-    # and extremes DPs, whose slots merge prefixes over every set of placed
-    # values.  The all-zero spec (the triangle DP) puts all E_n words on x^n
-    # (the top field), the all-empty spec (the extremes DP) puts them on x^0
-    # once n >= 2.  All three specs run past the guard, to length 20.
+    # most E_n words, and the wider max_d C(n, d) E_d bits in the extremes
+    # DP, whose slots merge prefixes over every set of placed values.  The
+    # all-zero spec (no extreme tracked) puts all E_n words on x^n (the top
+    # field), the all-empty spec (both tracked) puts them on x^0 once
+    # n >= 2.  All three specs run past the guard, to length 20.
     top = 20
     ee = zigzag_numbers(top)
     for length in range(1, top + 1):
@@ -206,10 +203,14 @@ def test_packed_histogram_boundaries(cls):
 
 def test_histogram_sum_is_checked(monkeypatch):
     # each DP in turn returns a histogram that sums to 1, not E_5 = 16, for
-    # a spec routed to it; x, not a constant, so the message must show its
+    # specs routed to it; x, not a constant, so the message must show its
     # value at x = 1
-    specs = (MMP_Q1, QuadrantSpec(1, 0, None, 0), QuadrantSpec(None, 2, 0, 1))
-    for name, spec in zip(_DPS, specs):
+    routed = (
+        ("_dist_brute_extremes", MMP_Q1),
+        ("_dist_brute_extremes", QuadrantSpec(1, 0, None, 0)),
+        ("_dist_brute_subset", QuadrantSpec(None, 2, 0, 1)),
+    )
+    for name, spec in routed:
         with monkeypatch.context() as patch:
             patch.setattr(meshlab.distributions, name, lambda *args: Poly([0, 1]))
             with pytest.raises(ArithmeticError, match="^histogram sums to 1, not E_5 = 16$"):
@@ -283,9 +284,10 @@ def test_reverse_complement_symmetry_at_long_lengths(length, cls, reqs):
 
 @pytest.mark.parametrize("length", [10, 11, 12])
 def test_triangle_dp_against_the_subset_dp_by_reverse_complement(length):
-    # reverse-complement takes MMP(a,0,0,d), which the triangle DP counts,
-    # to MMP(0,d,a,0), which the subset DP counts whenever a or d is 2 or 9,
-    # and the extremes DP whenever a and d are e, 0 or 1, not both 0
+    # reverse-complement takes MMP(a,0,0,d), which the extremes DP counts
+    # with no extreme tracked (the triangle), to MMP(0,d,a,0), which the
+    # subset DP counts whenever a or d is 2 or 9, and the extremes DP with
+    # an extreme tracked whenever a and d are e, 0 or 1, not both 0
     entries = (None, 0, 1, 2, 9)
     for a, d in itertools.product(entries, repeat=2):
         for cls in (UP_DOWN, DOWN_UP):
@@ -297,8 +299,8 @@ def test_triangle_dp_against_the_subset_dp_by_reverse_complement(length):
 @pytest.mark.parametrize("length", [10, 11, 12])
 def test_extremes_dp_against_the_subset_dp_by_reverse_complement(length):
     # reverse-complement takes MMP(a,b,c,d) with b and c in {e, 0, 1}, which
-    # the extremes DP counts (the triangle when b = c = 0), to MMP(c,d,a,b),
-    # which the subset DP counts because a or d is 2
+    # the extremes DP counts (with no extreme tracked when b = c = 0), to
+    # MMP(c,d,a,b), which the subset DP counts because a or d is 2
     outer = ((2, None), (2, 1), (None, 2), (0, 2))
     for (b, c), (a, d) in itertools.product(itertools.product((None, 0, 1), repeat=2), outer):
         for cls in (UP_DOWN, DOWN_UP):
@@ -757,16 +759,22 @@ def test_headline_theorems_against_the_oracle_past_length_twelve():
         )
 
 
-# Far past the guard the polynomial-state DPs pack thousands of bits per
-# slot, so a field too narrow would carry one coefficient into the next.
+# Far past the guard the extremes DP packs thousands of bits per slot, so a
+# field too narrow would carry one coefficient into the next.
 
 
 def test_triangle_dp_through_length_forty():
+    # the extremes DP with no extreme tracked: the quadrant-I statistic, and
+    # the all-zero spec, whose E_n words all sit in the top field
+    ee = zigzag_numbers(40)
     for length in range(1, 41):
         for cls in (UP_DOWN, DOWN_UP):
             family = family_for(length, cls)
             row = family_polynomial(family, family.index_for_length(length))
             assert dist_brute(length, cls, MMP_Q1, force=True) == row, (length, cls)
+            assert dist_brute(length, cls, QuadrantSpec(0, 0, 0, 0), force=True) == Poly.monomial(
+                ee[length], length
+            ), (length, cls)
 
 
 def test_extremes_dp_against_the_sec_power_through_length_forty():
