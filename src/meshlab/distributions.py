@@ -350,14 +350,11 @@ def dist_brute(
 #     D' = sec(xt) A         D(0) = 0
 # A is sec(xt)^{1/x}, sec_xt_power at multiplier 1; it and B go through the
 # term-by-term solver, C and D are a product and an antiderivative of known
-# series.  A truncated solution's first m + 1 coefficients do not depend on its
-# order, so each series is solved once per key at the highest order asked and
-# lower orders are truncations of it.
+# series.  (sec t)^x is no solve of its own: u = xt and y = 1/x turn it into
+# A, so its row n is A's row n read backwards.  A truncated solution's first
+# m + 1 coefficients do not depend on its order, so each series is solved once
+# per key at the highest order asked and lower orders are truncations of it.
 # ---------------------------------------------------------------------------
-
-
-def _zero_series(order: int) -> EgfSeries:
-    return EgfSeries.constant(Poly.zero(), order)
 
 
 def _longest_solve(solve):
@@ -413,22 +410,21 @@ def sec_xt_power(multiplier: Poly, order: int, /) -> EgfSeries:
     symbolically.
     """
     f = tan_series(order) * multiplier
-    return solve_linear_ode(f, _zero_series(order), Poly.one(), order)
+    return solve_linear_ode(f, EgfSeries.constant(Poly.zero(), order), Poly.one(), order)
 
 
 @_longest_solve
 def sec_t_power_of_x(order: int, /) -> EgfSeries:
     """
-    (sec t)^x: the solution of Y' = x tan(t) Y, Y(0) = 1.  Unlike
-    sec_xt_power, the tangent argument here carries no x; its coefficients
-    are the bare tangent numbers times the marker x.
+    (sec t)^x, read off A = sec(xt)^{1/x}: putting u = xt and y = 1/x turns
+    one series into the other, so the t^n/n! coefficient of (sec t)^x is
+    x^n A_n(1/x), A's row n padded to n + 1 coefficients and read backwards.
+    A's solve already holds these numbers, so no second ODE is solved.
     """
-    ee = zigzag_numbers(order)
-    f = EgfSeries(
-        Poly.monomial(ee[m], 1) if m % 2 == 1 else Poly.zero()
-        for m in range(order + 1)
+    return EgfSeries(
+        Poly(reversed(row.coeffs + (0,) * (n + 1 - len(row.coeffs))))
+        for n, row in enumerate(egf_family(Family.A, order).coeffs)
     )
-    return solve_linear_ode(f, _zero_series(order), Poly.one(), order)
 
 
 # ---------------------------------------------------------------------------
@@ -537,48 +533,29 @@ def closed_form_series_check(order: int) -> list[dict]:
     """
     if order < 2:
         raise ValueError("need order >= 2 for the composite forms")
-    records = []
-    one = Poly.one()
-
-    # B = sec(xt)^{1/x} * integral of sec(xz)^{-1/x}
-    b_form = sec_xt_power(Poly([1]), order) * sec_xt_power(Poly([-1]), order - 1).integrate()
-    records.append(
-        make_record(
-            "series-closed-form",
-            family=Family.B,
-            expected=egf_family(Family.B, order),
-            actual=b_form,
-            variant="sec^(1/x) * int sec^(-1/x)",
-        )
-    )
-
-    # D = integral of sec(xz)^{1 + 1/x}; the same power is C's outer factor.
+    # D = integral of sec(xz)^{1 + 1/x}; the same power is C's outer factor
     outer = sec_xt_power(Poly([1, 1]), order - 1)
-    d_form = outer.integrate()
-    records.append(
-        make_record(
-            "series-closed-form",
-            family=Family.D,
-            expected=egf_family(Family.D, order),
-            actual=d_form,
-            variant="int sec^(1+1/x)",
-        )
-    )
 
-    # C = 1 + double integral; adjudicate the sign of the inner exponent.
-    for sign, label in ((-1, "inner exponent -1/x"), (+1, "inner exponent +1/x")):
+    def c_form(sign: int) -> EgfSeries:
+        # C = 1 + double integral; the sign of the inner exponent is adjudicated
         inner = sec_xt_power(Poly([sign]), order - 2).integrate()
-        cand = (outer * inner).integrate(constant=one)
-        records.append(
-            make_record(
-                "c-double-integral",
-                family=Family.C,
-                expected=egf_family(Family.C, order),
-                actual=cand,
-                variant=label,
-            )
+        return (outer * inner).integrate(constant=Poly.one())
+
+    forms = [
+        # B = sec(xt)^{1/x} * integral of sec(xz)^{-1/x}
+        ("series-closed-form", Family.B, "sec^(1/x) * int sec^(-1/x)",
+         sec_xt_power(Poly([1]), order) * sec_xt_power(Poly([-1]), order - 1).integrate()),
+        ("series-closed-form", Family.D, "int sec^(1+1/x)", outer.integrate()),
+        ("c-double-integral", Family.C, "inner exponent -1/x", c_form(-1)),
+        ("c-double-integral", Family.C, "inner exponent +1/x", c_form(+1)),
+    ]
+    return [
+        make_record(
+            check, family=family, expected=egf_family(family, order), actual=series,
+            variant=variant,
         )
-    return records
+        for check, family, variant, series in forms
+    ]
 
 
 def confirmed_c_variant() -> str:

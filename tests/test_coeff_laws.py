@@ -216,6 +216,12 @@ def test_seed_identities():
     records = seed_identity_check(5)
     assert len(records) == 12
     assert all(r["verdict"] == "pass" for r in records)
+    # each record names its law's family and the seed point n = k + 1
+    assert [(r["check"], r["family"], r["k"], r["n"]) for r in records] == [
+        (f"seed-{letter}", family, k, k + 1)
+        for k in range(6)
+        for letter, family in (("p", "A"), ("q", "B"))
+    ]
     # spelled out for one k: p_3(4) = 272/105 and q_3(4) = 272/48
     assert p_value(3, 4) == Fraction(272, 105)
     assert q_value(3, 4) == Fraction(272, 48)

@@ -452,6 +452,13 @@ def test_sec_powers():
     s = sec_t_power_of_x(4)
     assert s.coefficient(0) == Poly.one()
     assert s.coefficient(2) == Poly([0, 1])
+    # (sec t)^x is read off A's rows; check it against its own ODE,
+    # Y' = x tan(t) Y with Y(0) = 1, whose tangent series carries no x
+    for n in range(1, 25):
+        ee = zigzag_numbers(n)
+        f = EgfSeries(Poly.monomial(ee[m], 1) if m % 2 else Poly.zero() for m in range(n + 1))
+        zero = EgfSeries.constant(Poly.zero(), n)
+        assert sec_t_power_of_x(n) == solve_linear_ode(f, zero, 1, n), n
 
 
 def test_sec_power_lowest_orders():
@@ -537,11 +544,12 @@ def test_series_store_answers_every_order_as_a_cold_solve(solve_calls, name, key
 
 
 # a negative order raises what the solve itself raises: egf_family checks its
-# order, the sec powers fail in zigzag_numbers when they size the tangent series
+# order, and so does (sec t)^x, which reads A's rows; sec_xt_power fails in
+# zigzag_numbers when it sizes the tangent series
 _NEGATIVE_ORDER_ERRORS = {
     "egf_family": "order must be nonnegative",
     "sec_xt_power": "n must be nonnegative",
-    "sec_t_power_of_x": "n must be nonnegative",
+    "sec_t_power_of_x": "order must be nonnegative",
 }
 
 
@@ -613,14 +621,15 @@ print(sorted(orders))
 
 def test_exact_series_pass_solves_each_series_once():
     # the benchmark's exact-series calls in a new process: each of A, B,
-    # sec(xt)^{-1/x}, sec(xt)^{1+1/x} and (sec t)^x is solved once, at the
-    # highest order asked, and every lower order is a truncation.  A and
-    # sec(xt)^{1/x} are one series, so closed_form_series_check's order-40
-    # sec(xt)^{1/x} is a truncation of A's order-80 solve
+    # sec(xt)^{-1/x} and sec(xt)^{1+1/x} is solved once, at the highest order
+    # asked, and every lower order is a truncation.  A and sec(xt)^{1/x} are
+    # one series, so closed_form_series_check's order-40 sec(xt)^{1/x} is a
+    # truncation of A's order-80 solve, and (sec t)^x is read off A's rows
+    # with no solve of its own
     proc = subprocess.run(
         [sys.executable, "-c", _COUNT_SOLVES], capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.splitlines() == ["[39, 39, 80, 80]", "[39, 39, 80, 80, 80]"]
+    assert proc.stdout.splitlines() == ["[39, 39, 80, 80]", "[39, 39, 80, 80]"]
 
 
 def _all_int(polys) -> bool:

@@ -32,6 +32,9 @@ INVOCATIONS: list[tuple[str, ...]] = [
     *(("series", "--gf", gf, "--order", "40", "--format", "json")
       for gf in ("A", "B", "C", "D", "sec^x", "secx", "tanx")),
     ("series", "--gf", "A", "--order", "12"),
+    # (sec t)^x is A's rows reversed: the order-0 row and a latex row 2 pin the edges
+    ("series", "--gf", "sec^x", "--order", "0"),
+    ("series", "--gf", "sec^x", "--order", "2", "--format", "latex"),
     *(("table", "--family", f, "--max-index", "12", "--format", "latex") for f in "ABCD"),
     ("table", "--family", "B", "--max-index", "9", "--format", "csv"),
     ("table", "--family", "C", "--max-index", "9"),
