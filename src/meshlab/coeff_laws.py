@@ -18,11 +18,11 @@ and q_k(k+1) = T_{2k+1}/(2k)!! (T the tangent numbers); r and s are finite
 sums consuming q and p values.  The double sums telescope in n, so p and q
 are running sums, kept by (k, n) for the life of the process: a row up to n
 costs O(k n) terms.  Every law is summed as integers over one denominator per
-(law, k), the lcm of its terms' denominators, and each value a caller gets is
-made a Fraction once; a level-law prediction is made once from the numerator
-times the multiplier.  Two published versions of the q recursion disagree with
-each other, so both are implemented behind a variant flag and an adjudication
-records which one the oracle confirms.
+k, shared by all four laws (the lcm of their terms' denominators), and each
+value a caller gets is made a Fraction once; a level-law prediction is made
+once from the numerator times the multiplier.  Two published versions of the
+q recursion disagree with each other, so both are implemented behind a
+variant flag and an adjudication records which one the oracle confirms.
 """
 from __future__ import annotations
 
@@ -65,38 +65,28 @@ _P, _Q = 1, 0
 
 
 @cache
-def _running_scale(k: int, parity: int) -> tuple[int, int, tuple[int, ...]]:
+def _scale(k: int) -> tuple[int, tuple[int, int], tuple[int, ...], tuple[int, ...]]:
     """
-    The denominator D(k) of p_k (parity 1) or q_k (parity 0) at every n,
-
-        D(k) = lcm((2k+parity)!!, (2j+1)! D(k-j) for j = 1..k),   D(0) = 1,
-
-    with D(k) T_{2k+1}/(2k+parity)!! and, for j = 1..k, the integer weights
-    D(k) T_{2j+1} / ((2j+1)! D(k-j)) that make each double-sum term an int.
+    D(k) = lcm((2j+1)! D(k-j) for j = 1..k), D(0) = 1, the one denominator of
+    p_k, q_k (both variants), r_k and s_k at every n, and the int seed
+    numerators D(k) T_{2k+1}/(2k+parity)!! by parity, double-sum weights
+    D(k) T_{2j+1}/((2j+1)! D(k-j)), j = 1..k, and secant weights
+    D(k) S_{2j}/((2j)! D(k-j)), j = 0..k (S the secant numbers).  D(k) serves
+    all four laws: each seed's (2k+parity)!! divides the j = k term
+    (2k+1)! D(0), and each secant term (2j)! D(k-j) divides (2j+1)! D(k-j).
     """
-    seed = double_factorial(2 * k + parity)
-    inner = [factorial(2 * j + 1) * _running_scale(k - j, parity)[0] for j in range(1, k + 1)]
-    den = lcm(seed, *inner)
-    weights = tuple(den // d * tangent_number(2 * j + 1) for j, d in enumerate(inner, 1))
-    return den, den // seed * tangent_number(2 * k + 1), weights
-
-
-@cache
-def _secant_scale(k: int, parity: int) -> tuple[int, tuple[int, ...]]:
-    """
-    The denominator of s_k (parity 1, a sum over p) or r_k (parity 0, over q),
-    lcm((2j)! D(k-j) for j = 0..k), and for j = 0..k the integer weights
-    D S_{2j} / ((2j)! D(k-j)), S the secant numbers.
-    """
-    ee = zigzag_numbers(2 * k)
-    inner = [factorial(2 * j) * _running_scale(k - j, parity)[0] for j in range(k + 1)]
-    den = lcm(*inner)
-    return den, tuple(den // d * ee[2 * j] for j, d in enumerate(inner))
+    d = [None] + [_scale(k - j)[0] for j in range(1, k + 1)]  # d[j] = D(k - j)
+    den = d[0] = lcm(*(factorial(2 * j + 1) * d[j] for j in range(1, k + 1)))
+    ee = zigzag_numbers(2 * k + 1)
+    seeds = tuple(den // double_factorial(2 * k + parity) * ee[2 * k + 1] for parity in (0, 1))
+    running = tuple(den // (factorial(2 * j + 1) * d[j]) * ee[2 * j + 1] for j in range(1, k + 1))
+    secant = tuple(den // (factorial(2 * j) * d[j]) * ee[2 * j] for j in range(k + 1))
+    return den, seeds, running, secant
 
 
 # p_k(n) and statement q_k(n) by (parity, k, n), never by position, so a nested
 # or concurrent extension of one k stores equal values under equal keys.  A
-# value is the numerator over _running_scale's denominator.
+# value is the numerator over _scale's denominator.
 _RATIO_SUMS: dict[tuple, int] = {}
 
 
@@ -104,18 +94,18 @@ def _ratio_sum(parity: int, k: int, n: int) -> int:
     """
     D(k) times T_{2k+1}/(2k+parity)!! + sum_{t=k+2}^{n} sum_{j=1}^{k} T_{2j+1}
     (2t-1-parity)(2t-3-parity) ... (2t+1-parity-2j) / (2j+1)! * law(k-j, t-j-1),
-    law being p (parity 1) or q (parity 0), an int (see _running_scale),
+    law being p (parity 1) or q (parity 0), an int (see _scale),
     resumed from the highest stored n below.
     """
     if k == 0:
         return 1
+    _, seeds, weights, _ = _scale(k)
     top = n
     while (acc := _RATIO_SUMS.get((parity, k, top))) is None:
         if top == k + 1:
-            acc = _running_scale(k, parity)[1]
+            acc = seeds[parity]
             break
         top -= 1
-    weights = _running_scale(k, parity)[2]
     for t in range(top + 1, n + 1):
         for j, weight in enumerate(weights, 1):
             factor = prod(range(2 * t - 1 - parity, 2 * t - 1 - parity - 2 * j, -2))
@@ -132,21 +122,21 @@ def _check_k(k: int) -> None:
 def _ratio(letter: str, k: int, n: int, variant: str = "statement") -> tuple[int, int]:
     """
     The law named by letter ("p" .. "s") at (k, n), after that law's domain
-    checks, as a numerator over the one denominator of (letter, k).
+    checks, as a numerator over D(k), the one denominator of every law at k.
     """
     _check_k(k)
     if variant not in ("statement", "in-proof"):
         raise ValueError(f"unknown variant {variant!r}")
     if n < k + 1 and (k or letter in "rs"):
         raise ValueError(f"{letter}_{k} is defined for n >= {k + 1}")
+    den = _scale(k)[0]
     if letter == "r":
-        return _secant_sum(_Q, k, n - 1, 2 * n - 1), _secant_scale(k, _Q)[0]
+        return _secant_sum(_Q, k, n - 1, 2 * n - 1), den
     if letter == "s":
-        return _secant_sum(_P, k, n, 2 * n), _secant_scale(k, _P)[0]
+        return _secant_sum(_P, k, n, 2 * n), den
     if variant == "in-proof":
-        return _q_in_proof(k, n), _running_scale(k, _Q)[0]
-    parity = _P if letter == "p" else _Q
-    return _ratio_sum(parity, k, n), _running_scale(k, parity)[0]
+        return _q_in_proof(k, n), den
+    return _ratio_sum(_P if letter == "p" else _Q, k, n), den
 
 
 def p_value(k: int, n: int) -> Fraction:
@@ -188,14 +178,13 @@ def q_value(k: int, n: int, variant: str = "statement") -> Fraction:
 @cache
 def _q_in_proof(k: int, n: int) -> int:
     """
-    The in-proof q_k(n) over q's denominator D(k) (see _running_scale), an int:
+    The in-proof q_k(n) over the denominator D(k) (see _scale), an int:
 
         T_{2k+1}/(2k)!! + sum_{j=1}^{k} 2^j (2n-3)(2n-5)...(2n-2j+1)
                           T_{2j+1} / (2j+1)!  *  sum_{t=k+2}^{n} q_{k-j}(t-j-1)
     """
-    if k == 0:
-        return 1
-    _, acc, weights = _running_scale(k, _Q)
+    _, seeds, weights, _ = _scale(k)
+    acc = seeds[_Q]
     for j, weight in enumerate(weights, 1):
         factor = 2**j * prod(range(2 * n - 3, 2 * n - 1 - 2 * j, -2))
         acc += weight * factor * sum(_q_in_proof(k - j, t - j - 1) for t in range(k + 2, n + 1))
@@ -205,14 +194,14 @@ def _q_in_proof(k: int, n: int) -> int:
 def _secant_sum(parity: int, k: int, n: int, top: int) -> int:
     """
     sum_{j=0}^{k} S_{2j} top (top-2) ... (top-2j+2) / (2j)! * law(k-j, n-j) over
-    _secant_scale's denominator, an int, S the secant numbers: r_k(n) sums q
+    _scale's denominator D(k), an int, S the secant numbers: r_k(n) sums q
     values (parity 0) at n - 1 and top = 2n - 1, s_k(n) sums p values
     (parity 1) at n and top = 2n.
     law(m, m) is 0 for m >= 1: the row of length 2m (p) or 2m + 1 (q) has
     degree 2m - 1 < 2m, so its level count at base + m vanishes.
     """
     acc = 0
-    for j, weight in enumerate(_secant_scale(k, parity)[1]):
+    for j, weight in enumerate(_scale(k)[3]):
         m = k - j
         if m and n - j == m:
             continue

@@ -385,19 +385,16 @@ def egf_family(family: Family, order: int, /) -> EgfSeries:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
+    start = Poly.one() if family.even_length else Poly.zero()
     if order == 0:
-        start = Poly.one() if family.even_length else Poly.zero()
         return EgfSeries([start])
     if family is Family.A:
         return sec_xt_power(Poly.one(), order)
     if family is Family.B:
         one = EgfSeries.constant(Poly.one(), order - 1)
-        return solve_linear_ode(tan_series(order - 1), one, Poly.zero(), order)
-    if family is Family.C:
-        rhs = sec_series(order - 1) * egf_family(Family.B, order - 1)
-        return rhs.integrate(constant=Poly.one())
-    rhs = sec_series(order - 1) * egf_family(Family.A, order - 1)
-    return rhs.integrate(constant=Poly.zero())
+        return solve_linear_ode(tan_series(order - 1), one, start, order)
+    partner = Family.B if family is Family.C else Family.A
+    return (sec_series(order - 1) * egf_family(partner, order - 1)).integrate(constant=start)
 
 
 @_longest_solve

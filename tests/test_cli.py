@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import meshlab.cli
 import meshlab.coeff_laws
 import meshlab.distributions as dist
-from meshlab.algebra import Poly
+import meshlab.verify
+from meshlab.algebra import EgfSeries, Poly
 from meshlab.cli import (
     FORMATS,
     format_pattern,
@@ -31,7 +32,7 @@ from meshlab.coeff_laws import level_length
 from meshlab.distributions import Family, family_polynomial
 from meshlab.permutations import QuadrantSpec
 from meshlab.records import make_record
-from meshlab.verify import SUITE_RUNNERS, SuiteResult, run_suite, run_unimodality
+from meshlab.verify import SUITE_RUNNERS, SuiteResult, run_egf, run_suite, run_unimodality
 
 
 def run(capsys, *argv):
@@ -631,6 +632,26 @@ def test_verify_oracle_small(capsys):
         capsys, "verify", "--suite", "oracle", "--max-length", "8", "--workers", "2"
     )
     assert code == 0
+
+
+def test_egf_suite_below_the_reference_length():
+    # at order 6 the zigzag records compare E_0 .. E_6, fewer terms than the
+    # 15 that ZIGZAG_REFERENCE holds, and the suite passes
+    result = run_egf(6, sec_power_max_n=2)
+    zigzag = [r for r in result.records if r["check"] in ("egf-zigzag-sum", "zigzag-reference")]
+    assert [(r["expected"], r["actual"]) for r in zigzag] == [("[1, 1, 1, 2, 5, 16, 61]",) * 2] * 2
+    assert result.passed
+
+
+def test_egf_parity_scan_reaches_the_last_coefficient(monkeypatch):
+    # with every coefficient nonzero, the parity record names each index of
+    # the wrong parity, the order itself included
+    monkeypatch.setattr(
+        meshlab.verify, "egf_family", lambda family, order: EgfSeries([Poly.one()] * (order + 1))
+    )
+    records = run_egf(6, sec_power_max_n=2).records
+    parity = {r["family"]: r["actual"] for r in records if r["check"] == "egf-parity"}
+    assert parity == {"A": "[1, 3, 5]", "B": "[0, 2, 4, 6]", "C": "[1, 3, 5]", "D": "[0, 2, 4, 6]"}
 
 
 def test_verify_json_format(capsys):

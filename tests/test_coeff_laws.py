@@ -4,7 +4,7 @@ import sys
 import threading
 from fractions import Fraction
 from functools import cache, partial
-from math import factorial, perm
+from math import factorial, lcm, perm
 
 import pytest
 
@@ -329,6 +329,33 @@ def test_integer_sums_match_the_literal_fraction_sums(fresh_sums, law, literal):
             assert type(value) is Fraction and value == literal(k, n), (k, n)
 
 
+@cache
+def running_den(k, parity):
+    return lcm(
+        double_factorial(2 * k + parity),
+        *(factorial(2 * j + 1) * running_den(k - j, parity) for j in range(1, k + 1)),
+    )
+
+
+def test_one_denominator_serves_all_four_laws(fresh_sums):
+    # Each law's own denominator, the lcm of its terms' denominators:
+    # lcm((2k+parity)!!, (2j+1)! D(k-j) for j = 1..k) for the running sums of
+    # p (parity 1) and q (parity 0), and lcm((2j)! D(k-j) for j = 0..k) for the
+    # secant sums of s (over p) and r (over q).  All four equal the one D(k).
+    scale = meshlab.coeff_laws._scale
+    for k in range(11):
+        secant_dens = [
+            lcm(*(factorial(2 * j) * running_den(k - j, parity) for j in range(k + 1)))
+            for parity in (0, 1)
+        ]
+        assert {running_den(k, 0), running_den(k, 1), *secant_dens} == {scale(k)[0]}, k
+    laws = [p_value, q_value, partial(q_value, variant="in-proof"), r_value, s_value]
+    for k in range(6):
+        for n in range(k + 1, k + 9):
+            for law in laws:
+                assert scale(k)[0] % law(k, n).denominator == 0, (law, k, n)
+
+
 # sha256 of repr([law(k, n) for k in 0..5 for n in k+1..30]), taken from the
 # double sums summed afresh for every n.
 RATIO_DIGESTS = {
@@ -415,13 +442,13 @@ def test_threads_extending_the_same_rows_store_equal_values(fresh_sums):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    # the store holds each value's numerator over the one denominator of its
-    # (parity, k): parity 1 for p, 0 for q
+    # the store holds each value's numerator over D(k), the one denominator of
+    # every law at k, under its (parity, k, n): parity 1 for p, 0 for q
     laws = meshlab.coeff_laws
     literal = {laws._P: literal_p, laws._Q: literal_q}
     assert len(fresh_sums) == 2 * (38 + 37 + 36 + 35)
     for (parity, k, n), value in fresh_sums.items():
-        den = laws._running_scale(k, parity)[0]
+        den = laws._scale(k)[0]
         assert Fraction(value, den) == literal[parity](k, n), (parity, k, n)
 
 
