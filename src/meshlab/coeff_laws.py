@@ -33,7 +33,7 @@ from math import comb, factorial, lcm, prod
 
 from .algebra import Poly, tangent_number, zigzag_numbers
 from .distributions import MMP_Q1, Family, dist_brute, family_polynomial
-from .records import make_record, sole_passing_variant
+from .records import make_record
 from .reference import PRINTED_CLOSED_FORMS
 
 
@@ -441,11 +441,6 @@ def q_variant_adjudication(k_max: int, n_max: int) -> list[dict]:
                     )
                 )
     return records
-
-
-def confirmed_q_variant() -> str:
-    """Which printed q recursion the level-set counts confirm."""
-    return sole_passing_variant(q_variant_adjudication(3, 8))
 
 
 def closed_form_check(which: str, k: int) -> list[dict]:

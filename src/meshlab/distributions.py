@@ -39,7 +39,7 @@ from .permutations import (
     enumerate_alternating,
     mmp_count,
 )
-from .records import make_record, sole_passing_variant
+from .records import make_record
 
 MMP_Q1 = QuadrantSpec(1, 0, 0, 0)
 
@@ -553,9 +553,3 @@ def closed_form_series_check(order: int) -> list[dict]:
         )
         for check, family, variant, series in forms
     ]
-
-
-def confirmed_c_variant() -> str:
-    """Which inner exponent the exact computation confirms for the C form."""
-    records = closed_form_series_check(10)
-    return sole_passing_variant(r for r in records if r["check"] == "c-double-integral")

@@ -38,14 +38,3 @@ def make_record(check, *, family=None, k=None, n=None, expected, actual, variant
         "verdict": "pass" if expected == actual else "fail",
         "variant": variant,
     }
-
-
-def sole_passing_variant(records) -> str:
-    """The one variant whose records all pass; RuntimeError unless exactly one does."""
-    passing: dict = {}
-    for rec in records:
-        passing[rec["variant"]] = passing.get(rec["variant"], True) and rec["verdict"] == "pass"
-    confirmed = [variant for variant, ok in passing.items() if ok]
-    if len(confirmed) != 1:
-        raise RuntimeError(f"expected exactly one passing variant, got {passing}")
-    return confirmed[0]

@@ -163,7 +163,8 @@ def run_coeff_laws(brute_level_max_length: int) -> SuiteResult:
     for family in Family:
         for k in range(4):
             result.records.extend(level_law_check(family, k, 15))
-    # Oracle-backed level laws for A and B, every length the guard allows.
+    # Oracle-backed level laws for A and B, up to the enumeration budget
+    # brute_level_max_length; past the guard, dist_brute raises.
     for family in (Family.A, Family.B):
         n_max = (brute_level_max_length - level_length(family, 0)) // 2
         for k in range(4):

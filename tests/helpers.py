@@ -1,8 +1,9 @@
 """
 Reference helpers that only the tests use: the reverse and complement
-symmetries, the two alternating-class predicates, and exact Lagrange
-interpolation.  Each is a literal definition the library's results are
-checked against.
+symmetries, the two alternating-class predicates, exact Lagrange
+interpolation, and the reading of which printed variant a set of records
+confirms.  Each is a literal definition the library's results are checked
+against.
 """
 from fractions import Fraction
 from typing import Sequence
@@ -56,3 +57,14 @@ def fit_polynomial(points: Sequence[tuple[Rational, Rational]]) -> Poly:
             denom *= xs[i] - xj
         total = total + basis * Poly([Fraction(y) / denom])
     return total
+
+
+def sole_passing_variant(records) -> str:
+    """The one variant whose records all pass; RuntimeError unless exactly one does."""
+    passing: dict = {}
+    for rec in records:
+        passing[rec["variant"]] = passing.get(rec["variant"], True) and rec["verdict"] == "pass"
+    confirmed = [variant for variant, ok in passing.items() if ok]
+    if len(confirmed) != 1:
+        raise RuntimeError(f"expected exactly one passing variant, got {passing}")
+    return confirmed[0]

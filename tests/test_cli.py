@@ -30,7 +30,7 @@ from meshlab.cli import (
 )
 from meshlab.coeff_laws import level_length
 from meshlab.distributions import Family, family_polynomial
-from meshlab.permutations import QuadrantSpec
+from meshlab.permutations import DOWN_UP, QuadrantSpec
 from meshlab.records import make_record
 from meshlab.verify import SUITE_RUNNERS, SuiteResult, run_egf, run_suite, run_unimodality
 
@@ -526,6 +526,18 @@ def test_brute_json(capsys):
     assert code == 0
     assert payload["coeffs"] == ["0", "1", "1"]
     assert payload["permutations"] == 2
+
+
+def test_brute_csv(capsys):
+    code, out, err = run(
+        capsys, "brute", "--length", "5", "--class", "du", "--pattern", "1,0,e,0",
+        "--format", "csv",
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        'length,class,pattern,polynomial,permutations\n5,du,"1,0,e,0",x(2+9x+5x^2),16\n'
+    )
+    assert parse_poly("x(2+9x+5x^2)") == dist.dist_brute(5, DOWN_UP, parse_pattern("1,0,e,0"))
 
 
 def test_json_output_layout_is_pinned(capsys):

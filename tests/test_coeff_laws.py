@@ -13,7 +13,6 @@ from meshlab.algebra import Poly, zigzag_numbers
 from meshlab.coeff_laws import (
     closed_form_check,
     closed_form_verdicts,
-    confirmed_q_variant,
     double_factorial,
     highest_coefficient_check,
     level_base,
@@ -38,8 +37,7 @@ from meshlab.coeff_laws import (
 )
 from meshlab.distributions import Family, family_polynomial
 from meshlab.permutations import UP_DOWN, QuadrantSpec
-from conftest import FULL_DEPTH
-from helpers import fit_polynomial
+from helpers import fit_polynomial, sole_passing_variant
 
 
 def test_module_doctests():
@@ -501,7 +499,7 @@ def test_q_variant_adjudication():
     # the literal in-proof factor disagrees beyond the seed
     first_bad = next(r for r in in_proof if r["verdict"] == "fail")
     assert (first_bad["k"], first_bad["n"]) == (1, 3)
-    assert confirmed_q_variant() == "statement"
+    assert sole_passing_variant(records) == "statement"
 
 
 def test_q_variant_argument_checked():
@@ -645,7 +643,7 @@ def test_minimal_statistic_forces_peak_position():
     # the largest value must sit in position 2
     from meshlab.permutations import enumerate_alternating, mmp_count
 
-    top = 10 if FULL_DEPTH else 8
+    top = 8
     for length in range(2, top + 1, 2):
         n = length // 2
         for p in enumerate_alternating(length, UP_DOWN):

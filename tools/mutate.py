@@ -15,10 +15,11 @@ arguments or a dict's values (a **mapping entry excepted) also trade
 places, and one entry of a tuple, a list, a set or a dict (key and value)
 is dropped, so a table of strings alone gets mutants too.  The module is
 rewritten with ast.unparse into a copy of the repository and the given
-tests run there with -x; a mutant that passes them survives.  The unparsed, unmutated module must pass the
-same tests first, and that run's time sets each mutant's timeout: a mutant
-run that takes longer (say, one whose mutation made a loop endless) is
-stopped and counts as killed.
+tests run there with -x; a mutant that passes them survives.  The unparsed,
+unmutated module must pass the same tests first (if it does not, the tool
+prints pytest's FAILED and ERROR lines and stops), and that run's time sets
+each mutant's timeout: a mutant run that takes longer (say, one whose
+mutation made a loop endless) is stopped and counts as killed.
 """
 from __future__ import annotations
 
@@ -140,17 +141,21 @@ def dropped(parent: ast.AST, node: ast.UnaryOp) -> tuple[str, object]:
     raise AssertionError("node is not a child of parent")
 
 
-def outcome(work: Path, tests: list[str], timeout: float | None = None) -> str:
-    """How the tests end: "passed", "failed", or "timed out" past timeout seconds."""
+def outcome(work: Path, tests: list[str], timeout: float | None = None) -> tuple[str, list[str]]:
+    """
+    How the tests end ("passed", "failed", or "timed out" past timeout
+    seconds), with pytest's FAILED and ERROR summary lines.
+    """
     env = dict(os.environ, PYTHONPATH=str(work / "src"))
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
-            cwd=work, env=env, capture_output=True, timeout=timeout,
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=work, env=env, capture_output=True, text=True, timeout=timeout,
         )
     except subprocess.TimeoutExpired:
-        return "timed out"
-    return "passed" if proc.returncode == 0 else "failed"
+        return "timed out", []
+    failures = [line for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+    return "passed" if proc.returncode == 0 else "failed", failures
 
 
 def main() -> int:
@@ -169,8 +174,9 @@ def main() -> int:
         target = work / args.module
         target.write_text(ast.unparse(tree))
         start = time.perf_counter()
-        if outcome(work, args.tests) != "passed":
-            raise SystemExit("the unmutated, unparsed module fails the tests")
+        result, failures = outcome(work, args.tests)  # no -x: every failing test is named
+        if result != "passed":
+            raise SystemExit("\n".join(["the unmutated, unparsed module fails the tests:", *failures]))
         baseline = time.perf_counter() - start
         timeout = max(TIMEOUT_FACTOR * baseline, TIMEOUT_FLOOR_S)
         print(f"unmutated run {baseline:.1f} s, mutant timeout {timeout:.1f} s", flush=True)
@@ -178,7 +184,7 @@ def main() -> int:
         for label in mutants(tree, set(args.functions)):
             target.write_text(ast.unparse(tree))
             total += 1
-            result = outcome(work, args.tests, timeout)
+            result, _ = outcome(work, ["-x", *args.tests], timeout)
             survived += result == "passed"
             shown = {"passed": "SURVIVED", "failed": "killed"}.get(result, result)
             print(f"{shown:<10}{label}", flush=True)

@@ -6,8 +6,9 @@ Cross-interpreter byte check of the command line, with the standard library only
 Runs each command line of INVOCATIONS under the interpreter running this
 tool, the reference, and under each interpreter given, every run a fresh
 `python -m meshlab.cli` process on this checkout's src/ in its own empty
-working directory.  A run's stdout, exit code and the bytes of the report
-it writes (the `report.json` argument) must equal the reference's.
+working directory.  A run's stdout, exit code and the bytes of every file
+it writes there (a `--report` or `--cache` argument) must equal the
+reference's.
 stderr is shown on a mismatch but not compared: argparse words its usage
 errors differently across versions.  Prints one line per interpreter and one
 per mismatch; exits 0 when every interpreter matches, 1 otherwise.
@@ -22,7 +23,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-REPORT = "report.json"  # relative to each run's working directory
+REPORT, CACHE = "report.json", "cache.json"  # relative to each run's working directory
 
 INVOCATIONS: list[tuple[str, ...]] = [
     ("verify", "--suite", "all", "--report", REPORT),
@@ -32,12 +33,14 @@ INVOCATIONS: list[tuple[str, ...]] = [
     *(("series", "--gf", gf, "--order", "40", "--format", "json")
       for gf in ("A", "B", "C", "D", "sec^x", "secx", "tanx")),
     ("series", "--gf", "A", "--order", "12"),
+    ("series", "--gf", "B", "--order", "12", "--format", "csv"),
     # (sec t)^x is A's rows reversed: the order-0 row and a latex row 2 pin the edges
     ("series", "--gf", "sec^x", "--order", "0"),
     ("series", "--gf", "sec^x", "--order", "2", "--format", "latex"),
     *(("table", "--family", f, "--max-index", "12", "--format", "latex") for f in "ABCD"),
     ("table", "--family", "B", "--max-index", "9", "--format", "csv"),
     ("table", "--family", "C", "--max-index", "9"),
+    ("table", "--family", "D", "--max-index", "5", "--format", "json", "--cache", CACHE),
     ("brute", "--length", "10", "--class", "ud", "--pattern", "1,0,0,0"),
     ("brute", "--length", "9", "--class", "du", "--pattern", "1,0,0,0", "--format", "json"),
     ("brute", "--length", "12", "--class", "ud", "--pattern", "1,0,e,0"),
@@ -54,16 +57,15 @@ INVOCATIONS: list[tuple[str, ...]] = [
 ]
 
 
-def run(python: str, argv: tuple[str, ...]) -> tuple[str, int, bytes | None, str]:
-    """stdout, exit code, report bytes (None if none was written) and stderr."""
+def run(python: str, argv: tuple[str, ...]) -> tuple[str, int, dict[str, bytes], str]:
+    """stdout, exit code, the bytes of each file written, by name, and stderr."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     with tempfile.TemporaryDirectory(prefix="xpy-") as cwd:
         proc = subprocess.run(
             [python, "-m", "meshlab.cli", *argv], cwd=cwd, env=env, capture_output=True, text=True
         )
-        report = Path(cwd) / REPORT
-        data = report.read_bytes() if report.exists() else None
-    return proc.stdout, proc.returncode, data, proc.stderr
+        written = {path.name: path.read_bytes() for path in Path(cwd).iterdir()}
+    return proc.stdout, proc.returncode, written, proc.stderr
 
 
 def version(python: str) -> str:
@@ -82,11 +84,11 @@ def main() -> int:
     mismatched = 0
     for python in args.pythons:
         wrong = []
-        for argv, (out, code, report, _) in zip(INVOCATIONS, expected):
-            got_out, got_code, got_report, got_err = run(python, argv)
+        for argv, (out, code, written, _) in zip(INVOCATIONS, expected):
+            got_out, got_code, got_written, got_err = run(python, argv)
             parts = [name for name, same in (
                 ("stdout", got_out == out), ("exit code", got_code == code),
-                ("report", got_report == report)) if not same]
+                ("files", got_written == written)) if not same]
             if parts:
                 wrong.append(f"  {' '.join(argv)}: {', '.join(parts)} differ"
                              f" (exit {got_code}, stderr {got_err.strip()[-200:]!r})")
