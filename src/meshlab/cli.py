@@ -46,37 +46,21 @@ WORKERS_HELP = (
 )
 
 
-def max_series_order() -> int:
-    """Series truncation cap: the env override or the built-in default."""
-    return env_int(SERIES_ORDER_ENV, DEFAULT_MAX_SERIES_ORDER)
-
-
 # ---------------------------------------------------------------------------
 # Polynomial rendering.
 # ---------------------------------------------------------------------------
 
 
-def _coef_str(c: Rational) -> str:
-    return str(c) if c.denominator == 1 else f"({c})"
-
-
 def _term(c: Rational, power: int) -> str:
+    coef = str(c) if c.denominator == 1 else f"({c})"
     if power == 0:
-        return _coef_str(c)
+        return coef
     body = "x" if power == 1 else f"x^{power}"
     if c == 1:
         return body
     if c == -1:
         return f"-{body}"
-    return f"{_coef_str(c)}{body}"
-
-
-def _sum_str(coeffs) -> str:
-    parts = [_term(c, j) for j, c in enumerate(coeffs) if c != 0]
-    out = parts[0]
-    for term in parts[1:]:
-        out += term if term.startswith("-") else f"+{term}"
-    return out
+    return coef + body
 
 
 def format_poly(poly: Poly) -> str:
@@ -94,10 +78,9 @@ def format_poly(poly: Poly) -> str:
     inner = poly.coeffs[low:]
     if len(inner) == 1:
         return _term(inner[0], low)
-    body = _sum_str(inner)
-    if low == 0:
-        return body
-    return f"{_term(1, low)}({body})"
+    # no coefficient's text holds "+", so "+-" only ever joins a negative term
+    body = "+".join(_term(c, j) for j, c in enumerate(inner) if c).replace("+-", "-")
+    return body if low == 0 else f"{_term(1, low)}({body})"
 
 
 def format_poly_latex(poly: Poly) -> str:
@@ -141,27 +124,20 @@ def parse_pattern(text: str) -> QuadrantSpec:
 # ---------------------------------------------------------------------------
 
 
-def _table_rows(family: Family, max_index: int):
-    for index in range(family.min_index(), max_index + 1):
-        yield index, family.length(index), family_polynomial(family, index)
-
-
 def cmd_table(args) -> int:
     family = Family(args.family)
-    rows = list(_table_rows(family, args.max_index))
-    if args.format == "plain":
-        for index, length, poly in rows:
-            print(f"{index} {length} {format_poly(poly)}")
-    elif args.format == "csv":
-        print("index,length,polynomial")
-        for index, length, poly in rows:
-            print(f"{index},{length},{format_poly(poly)}")
-    elif args.format == "json":
+    rows = [(index, family.length(index), family_polynomial(family, index))
+            for index in range(family.min_index(), args.max_index + 1)]
+    if args.format == "json":
         print(json.dumps([cache_record(family, i, p) for i, _, p in rows], indent=2))
+    elif args.format == "latex":
+        for _, length, poly in rows:
+            print(f"{family.value}_{{{length}}}(x) &= {format_poly_latex(poly)} \\\\")
     else:
+        if args.format == "csv":
+            print("index,length,polynomial")
         for index, length, poly in rows:
-            label = f"{family.value}_{{{length}}}(x)"
-            print(f"{label} &= {format_poly_latex(poly)} \\\\")
+            print(index, length, format_poly(poly), sep="," if args.format == "csv" else " ")
     if args.cache:
         try:
             _update_cache(Path(args.cache), family, rows)
@@ -259,16 +235,11 @@ def cmd_series(args) -> int:
             indent=2,
         ))
         return 0
-    if args.format == "csv":
-        print("n,coefficient")
-        for n in range(series.order + 1):
-            print(f"{n},{format_poly(series.coefficient(n))}")
-        return 0
-    print(f"# {args.gf}: coefficient of t^n/n! per row")
-    for n in range(series.order + 1):
-        poly = series.coefficient(n)
-        rendered = format_poly_latex(poly) if args.format == "latex" else format_poly(poly)
-        print(f"{n} {rendered}")
+    csv = args.format == "csv"
+    render = format_poly_latex if args.format == "latex" else format_poly
+    print("n,coefficient" if csv else f"# {args.gf}: coefficient of t^n/n! per row")
+    for n, poly in enumerate(series.coeffs):
+        print(n, render(poly), sep="," if csv else " ")
     return 0
 
 
@@ -280,7 +251,7 @@ def cmd_brute(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    count = int(poly(1))
+    count = sum(poly.coeffs)
     if args.format == "json":
         print(json.dumps(
             {
@@ -379,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # a malformed environment override is a usage error, not a traceback
     try:
-        series_cap = max_series_order()
+        series_cap = env_int(SERIES_ORDER_ENV, DEFAULT_MAX_SERIES_ORDER)
         brute_force_limit()
     except ValueError as exc:
         parser.error(str(exc))

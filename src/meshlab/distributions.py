@@ -335,8 +335,9 @@ def dist_brute(
     else:
         hist = _dist_brute_subset(length, cls, ok1, ok2, ok3, ok4)
     total = zigzag_numbers(length)[length]
-    if hist(1) != total:
-        raise ArithmeticError(f"histogram sums to {hist(1)}, not E_{length} = {total}")
+    count = sum(hist.coeffs)
+    if count != total:
+        raise ArithmeticError(f"histogram sums to {count}, not E_{length} = {total}")
     return hist
 
 

@@ -112,6 +112,8 @@ def test_format_poly_basic():
     assert format_poly(Poly([0, 0, 3, 2])) == "x^2(3+2x)"
     assert format_poly(Poly([3, 0, 2])) == "3+2x^2"
     assert format_poly(Poly([0, -1, 1])) == "x(-1+x)"
+    assert format_poly(Poly([0, -1])) == "-x"
+    assert format_poly(Poly([0, 0, 1, -1])) == "x^2(1-x)"
 
 
 def test_format_poly_fraction_coefficients():
@@ -495,6 +497,11 @@ def test_brute_bad_pattern_entry_is_named(capsys):
         capsys, "brute", "--length", "3", "--class", "ud", "--pattern", "1,x,0,0"
     )
     assert (code, out, err) == (2, "", "error: bad pattern entry 'x'\n")
+    # -1 is refused by parse_pattern itself, not later by QuadrantSpec's own check
+    code, out, err = run(
+        capsys, "brute", "--length", "3", "--class", "ud", "--pattern", "1,0,-1,0"
+    )
+    assert (code, out, err) == (2, "", "error: bad pattern entry '-1'\n")
 
 
 def test_brute_negative_length_is_usage_error(capsys):
@@ -756,6 +763,27 @@ def test_exact_series_output_bytes_are_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv, *extra)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The command lines tools/xpy.py compares across interpreters, pinned across
+# commits: argv, exit code and the sha256 of stdout and of each file the line
+# writes into its working directory.  Every subcommand and format, the --report
+# and --cache files, and exit codes 2 (usage) and 3 (guard) are covered.
+COMMAND_LINES = json.loads(Path(__file__).with_name("command_lines.json").read_text())
+
+
+@pytest.mark.parametrize("line", COMMAND_LINES, ids=[" ".join(r["argv"]) for r in COMMAND_LINES])
+def test_command_line_bytes_are_pinned(capsys, monkeypatch, tmp_path, line):
+    monkeypatch.chdir(tmp_path)
+    for name in ("MESHLAB_MAX_SERIES_ORDER", "MESHLAB_MAX_BRUTE"):
+        monkeypatch.delenv(name, raising=False)
+    try:
+        code = main(line["argv"])
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    assert (code, digest, written) == (line["exit"], line["stdout"], line["files"])
 
 
 def test_verify_report_to_an_unwritable_path_is_an_error(tmp_path):
