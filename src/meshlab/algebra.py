@@ -28,14 +28,12 @@ class Poly:
     Dense univariate polynomial with exact rational coefficients, ascending
     powers.  Trailing zeros are trimmed; the zero polynomial stores nothing.
     Integral coefficients are stored as int, the rest as normalised Fraction;
-    coefficient() and evaluation return Fraction all the same.
+    evaluation returns a Fraction all the same.
 
     Immutable by convention: never mutate .coeffs.
 
     >>> Poly([3, 2]) * Poly([0, 1])
     Poly((0, 3, 2))
-    >>> Poly([1, 2]).coefficient(5)
-    Fraction(0, 1)
     >>> Poly([0, 0, 3, 2])(1)
     Fraction(5, 1)
     """
@@ -69,10 +67,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def coefficient(self, k: int) -> Fraction:
-        """Coefficient of x^k; zero beyond the degree."""
-        return Fraction(self.coeffs[k] if 0 <= k < len(self.coeffs) else 0)
 
     def __add__(self, other: Poly | Rational) -> Poly:
         other = _coerce(other)

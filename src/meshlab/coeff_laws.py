@@ -281,10 +281,6 @@ def _row_coefficient(poly: Poly, e: int):
     return poly.coeffs[e] if 0 <= e < len(poly.coeffs) else 0
 
 
-def level_length(family: Family, n: int) -> int:
-    return 2 * n + family.min_index()
-
-
 def level_base(family: Family, n: int) -> int:
     """Lowest exponent carrying a nonzero coefficient, in the n parameter."""
     return n + _LEVELS[family].base
@@ -314,7 +310,7 @@ def level_set(family: Family, n: int, k: int) -> int:
 def level_set_brute(family: Family, n: int, k: int) -> int:
     """Same count, but from the enumeration oracle instead of the recursion."""
     _check_k(k)
-    poly = dist_brute(level_length(family, n), family.alternating_class, MMP_Q1)
+    poly = dist_brute(family.length(n + family.min_index()), family.alternating_class, MMP_Q1)
     return _row_coefficient(poly, level_base(family, n) + k)
 
 

@@ -444,7 +444,7 @@ _SYMMETRY_CHAINS: dict[Family, list[tuple[QuadrantSpec, AlternatingClass]]] = {
 }
 
 
-def symmetry_suite(max_length: int, *, workers: int = 1) -> list[dict]:
+def symmetry_suite(max_length: int) -> list[dict]:
     """
     Brute-force verification of the four reverse/complement equality chains
     for every length up to max_length.  One record per chain member.
@@ -453,9 +453,9 @@ def symmetry_suite(max_length: int, *, workers: int = 1) -> list[dict]:
     for length in range(1, max_length + 1):
         for cls in (UP_DOWN, DOWN_UP):
             family = family_for(length, cls)
-            base = dist_brute(length, cls, MMP_Q1, workers=workers)
+            base = dist_brute(length, cls, MMP_Q1)
             for spec, other_cls in _SYMMETRY_CHAINS[family]:
-                other = dist_brute(length, other_cls, spec, workers=workers)
+                other = dist_brute(length, other_cls, spec)
                 records.append(
                     make_record(
                         "symmetry-chain",
@@ -469,14 +469,14 @@ def symmetry_suite(max_length: int, *, workers: int = 1) -> list[dict]:
     return records
 
 
-def oracle_equivalence(max_length: int, *, workers: int = 1) -> list[dict]:
+def oracle_equivalence(max_length: int) -> list[dict]:
     """
     Brute force vs recursion vs EGF coefficient for the quadrant-I statistic,
     every length and class up to max_length.  Two records per pair.
     """
     # every length meets the guard before any series is solved
     pairs = [(length, cls) for length in range(1, max_length + 1) for cls in (UP_DOWN, DOWN_UP)]
-    brutes = [dist_brute(length, cls, MMP_Q1, workers=workers) for length, cls in pairs]
+    brutes = [dist_brute(length, cls, MMP_Q1) for length, cls in pairs]
     series = {fam: egf_family(fam, max_length) for fam in Family}
     records = []
     for (length, cls), brute in zip(pairs, brutes):
@@ -499,7 +499,7 @@ def oracle_equivalence(max_length: int, *, workers: int = 1) -> list[dict]:
     return records
 
 
-def sec_power_identity(max_n: int, *, workers: int = 1) -> list[dict]:
+def sec_power_identity(max_n: int) -> list[dict]:
     """
     Check that (sec t)^x expands to the distribution of the pattern that asks
     for a point above-right and an empty lower-left quadrant, over up-down
@@ -507,7 +507,7 @@ def sec_power_identity(max_n: int, *, workers: int = 1) -> list[dict]:
     """
     spec = QuadrantSpec(1, 0, None, 0)
     # every length meets the guard before the series is solved
-    actuals = [dist_brute(2 * n, UP_DOWN, spec, workers=workers) for n in range(max_n + 1)]
+    actuals = [dist_brute(2 * n, UP_DOWN, spec) for n in range(max_n + 1)]
     series = sec_t_power_of_x(2 * max_n)
     return [
         make_record(

@@ -18,7 +18,6 @@ from .algebra import Poly, zigzag_numbers
 from .coeff_laws import (
     highest_coefficient_check,
     level_law_check,
-    level_length,
     lowest_coefficient_check,
     q_variant_adjudication,
     closed_form_check,
@@ -166,7 +165,7 @@ def run_coeff_laws(brute_level_max_length: int) -> SuiteResult:
     # Oracle-backed level laws for A and B, up to the enumeration budget
     # brute_level_max_length; past the guard, dist_brute raises.
     for family in (Family.A, Family.B):
-        n_max = (brute_level_max_length - level_length(family, 0)) // 2
+        n_max = (brute_level_max_length - family.min_index()) // 2
         for k in range(4):
             result.records.extend(level_law_check(family, k, n_max, source="brute"))
     result.records.extend(seed_identity_check(5))

@@ -74,7 +74,7 @@ def test_criterion_01_table_reproduction():
 
 def test_criterion_02_oracle_equivalence():
     started = time.perf_counter()
-    records = oracle_equivalence(BRUTE_GATE, workers=WORKERS)
+    records = oracle_equivalence(BRUTE_GATE)
     elapsed = time.perf_counter() - started
     bad = [r for r in records if r["verdict"] != "pass"]
     assert not bad, bad
@@ -91,7 +91,7 @@ def test_criterion_02_oracle_equivalence():
 
 def test_criterion_03_symmetry_suite():
     started = time.perf_counter()
-    records = symmetry_suite(8, workers=WORKERS)
+    records = symmetry_suite(8)
     elapsed = time.perf_counter() - started
     assert records and all(r["verdict"] == "pass" for r in records)
     report_line(
@@ -145,7 +145,7 @@ def test_criterion_06_level_set_laws():
             for k in range(0, 4):
                 if n < k + 1:
                     continue
-                count = poly.coefficient(level_base(family, n) + k)
+                count = poly.coeffs[level_base(family, n) + k]
                 assert count == level_law_value(family, k, n), (family, n, k)
                 checked_brute += 1
     # recursion route through parameter 15
@@ -236,7 +236,7 @@ def test_criterion_07_expected_pass_set_as_stated():
 
 def test_criterion_08_sec_power_identity():
     started = time.perf_counter()
-    records = sec_power_identity(5, workers=WORKERS)
+    records = sec_power_identity(5)
     elapsed = time.perf_counter() - started
     assert [r["n"] for r in records] == list(range(6))
     assert all(r["verdict"] == "pass" for r in records)
@@ -265,18 +265,21 @@ def test_criterion_09_unimodality():
 
 
 def test_criterion_10_parallel_determinism(tmp_path):
-    from meshlab.verify import SuiteResult
+    from meshlab.cli import main
 
     outputs = {}
-    for workers in (1, 4):
-        records = oracle_equivalence(8, workers=workers)
-        records += symmetry_suite(6, workers=workers)
-        path = tmp_path / f"report_{workers}.json"
-        write_report(path, [SuiteResult("determinism", records)])
-        outputs[workers] = path.read_bytes()
-    assert outputs[1] == outputs[4]
+    for workers in ("1", "4"):
+        outputs[workers] = b""
+        for suite, max_length in (("oracle", "8"), ("symmetry", "6")):
+            path = tmp_path / f"{suite}_{workers}.json"
+            assert main([
+                "verify", "--suite", suite, "--max-length", max_length,
+                "--workers", workers, "--report", str(path),
+            ]) == 0
+            outputs[workers] += path.read_bytes()
+    assert outputs["1"] == outputs["4"]
     report_line(
         10, True,
         f"1-worker and 4-worker reports are byte-identical "
-        f"({len(outputs[1])} bytes)",
+        f"({len(outputs['1'])} bytes)",
     )

@@ -46,8 +46,6 @@ def test_module_doctests():
 
 def test_poly_examples():
     assert X * Poly([3, 2]) == Poly([0, 3, 2])
-    assert Poly([0, 0, 3, 2]).coefficient(3) == 2
-    assert Poly([0, 0, 3, 2]).coefficient(17) == 0
     p = Poly([1, 2, 3])
     assert p + Poly.zero() == p
 
@@ -70,7 +68,7 @@ def test_poly_normalisation():
 
 def test_poly_equals_only_polys():
     # equal objects must hash equal, and hash(Poly([3])) != hash(3), so a
-    # Poly never equals a scalar; compare p.coefficient(0) or Poly(value)
+    # Poly never equals a scalar; compare p.coeffs[0] or Poly(value)
     assert Poly([3]) != 3 and 3 != Poly([3])
     assert Poly() != 0 and Poly([Fraction(1, 2)]) != Fraction(1, 2)
     assert len({Poly([3]), 3, Poly(), 0}) == 4
@@ -85,8 +83,6 @@ def test_equal_polys_hash_equal(p):
 
 def test_poly_public_values_stay_fractions():
     p = Poly([0, 0, 3, 2])
-    assert type(p.coefficient(3)) is Fraction and p.coefficient(3) == 2
-    assert type(p.coefficient(17)) is Fraction
     assert type(p(1)) is Fraction and p(1) == Fraction(5, 1)
     assert type(Poly()(1)) is Fraction
     assert p(Fraction(1, 2)) == 1 and type(p(Fraction(1, 2))) is Fraction
@@ -280,6 +276,7 @@ def test_differentiate_integrate():
     tan = tan_series(9)
     assert _derivative(tan.integrate()) == tan
     assert sec_series(6).integrate().coefficient(1) == Poly.one()
+    assert sec_series(6).integrate().coefficient(0).is_zero()  # starts at zero by default
     assert _derivative(tan).coefficient(0) == Poly([0, 1])
 
 
