@@ -700,74 +700,11 @@ def test_verify_all_suites(capsys, monkeypatch):
         assert f"suite {suite}: PASS" in out
 
 
-def test_verify_report_does_not_depend_on_workers(capsys, tmp_path):
-    outputs = []
-    for workers in ("1", "3"):
-        report = tmp_path / f"report_{workers}.json"
-        code, out, err = run(
-            capsys, "verify", "--suite", "all", "--max-length", "8",
-            "--report", str(report), "--workers", workers,
-        )
-        outputs.append((code, out, err, report.read_bytes()))
-    assert outputs[0] == outputs[1]
-    assert outputs[0][0] == 0
-
-
-@pytest.mark.parametrize(
-    "argv, digest",
-    [
-        (
-            ("--suite", "coeff-laws", "--max-length", "11"),
-            "80c2078f154bc1282f39f09e63d89e4ef522109935b8dc84e06bf9d43bc95192",
-        ),
-        (
-            ("--suite", "all", "--max-length", "8"),
-            "b1081fd47aed14d631fb5ce5a47370bcab1962b367470b5f65b5db9e59015cc1",
-        ),
-    ],
-)
-def test_verify_report_bytes_are_pinned(capsys, tmp_path, argv, digest):
-    # any change to a record, its order or its rendering changes the digest
-    report = tmp_path / "report.json"
-    code, _, _ = run(capsys, "verify", *argv, "--report", str(report))
-    assert code == 0
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
-
-
-# sha256 of stdout, taken from the all-Fraction algebra before ints were
-# stored: series to order 40 as JSON, table rows to index 12 as LaTeX
-EXACT_OUTPUT_DIGESTS = [
-    (("series", "--gf", "A"), "19eda6fa4473f651e1c923e072724c2be33ab75cb2fc220decae05c97cefdbeb"),
-    (("series", "--gf", "B"), "654b3badf48ea1498788228da79810dbf328d8ef10cb3d576ad48744286a6cce"),
-    (("series", "--gf", "C"), "1b2f3450d1ea0b369c352e095ac2d431549b705dc668656d63996482afe4291f"),
-    (("series", "--gf", "D"), "38fc77e4e092fc8714e2ed733a2b3e58b9f23818d0b635d13441cccbbff3e3f8"),
-    (("series", "--gf", "sec^x"), "26da34455e5657105ec6b6784647375d8c147f511ab9770e6d4da1187870894c"),
-    (("series", "--gf", "secx"), "943323f21abc70fce9efd2eeffcde7e9362531d381603b166e8a82d879350555"),
-    (("series", "--gf", "tanx"), "7d0283ad2d73c7f09e936ce82ff90672076ba7055fa432216029d65e571a9cc4"),
-    (("table", "--family", "A"), "4e86fe1025b92ceb36f8da72922622bf0d1575c0689c04f05e124d0a468875d1"),
-    (("table", "--family", "B"), "ef8fbe76bf08d2db792287f6818288f75fe303d5be3e648c754f0dfc570a5805"),
-    (("table", "--family", "C"), "dcb7562c1c9b1425fb0787d305f51bfd4be1a3cda9d267fe392d968f79513180"),
-    (("table", "--family", "D"), "0ef1ea19caf35ed97fda5bbb494cef74b780bf24fb05ba514fc8001e9d174d63"),
-]
-
-
-@pytest.mark.parametrize(
-    "argv, digest", EXACT_OUTPUT_DIGESTS,
-    ids=[f"{argv[0]}-{argv[-1]}" for argv, _ in EXACT_OUTPUT_DIGESTS],
-)
-def test_exact_series_output_bytes_are_pinned(capsys, argv, digest):
-    # every coefficient's exact decimal text passes through these digests
-    extra = ("--order", "40", "--format", "json") if argv[0] == "series" else (
-        "--max-index", "12", "--format", "latex")
-    code, out, err = run(capsys, *argv, *extra)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-# The command lines tools/xpy.py compares across interpreters, pinned across
-# commits: argv, exit code and the sha256 of stdout and of each file the line
-# writes into its working directory.  Every subcommand and format, the --report
-# and --cache files, and exit codes 2 (usage) and 3 (guard) are covered.
+# The only place a command line's bytes are pinned, across commits and, by
+# tools/xpy.py, across interpreters: argv, exit code, the sha256 of stdout and
+# of each file the line writes into its working directory, and whether it
+# writes to stderr.  Every subcommand and format, the --report and --cache
+# files and exit codes 0 to 3 are covered.
 COMMAND_LINES = json.loads(Path(__file__).with_name("command_lines.json").read_text())
 
 
@@ -783,8 +720,28 @@ def test_command_line_bytes_are_pinned(capsys, monkeypatch, tmp_path, line):
     out, err = capsys.readouterr()
     digest = hashlib.sha256(out.encode()).hexdigest()
     written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
-    assert (code, digest, written) == (line["exit"], line["stdout"], line["files"])
-    assert (err == "") == (code == 0), err
+    assert (code, digest, written, err != "") == (
+        line["exit"], line["stdout"], line["files"], line["stderr"]), err
+
+
+def test_command_line_table_covers_every_exit_code_and_format():
+    argvs = [tuple(line["argv"]) for line in COMMAND_LINES]
+    assert len(set(argvs)) == len(argvs)
+    assert {line["exit"] for line in COMMAND_LINES} == {0, 1, 2, 3}
+    accepted = {"table": FORMATS, "series": FORMATS, "brute": FORMATS, "verify": ("plain", "json")}
+    for command, formats in accepted.items():
+        pinned = {argv[argv.index("--format") + 1] if "--format" in argv else "plain"
+                  for argv, line in zip(argvs, COMMAND_LINES)
+                  if argv[0] == command and line["exit"] == 0}
+        assert set(formats) <= pinned, command
+    # --workers changes how the work is split, never a byte of the result
+    by_argv = {argv: {k: v for k, v in line.items() if k != "argv"}
+               for argv, line in zip(argvs, COMMAND_LINES)}
+    split = [argv for argv in argvs if "--workers" in argv]
+    assert split
+    for argv in split:
+        at = argv.index("--workers")
+        assert by_argv[argv] == by_argv[argv[:at] + argv[at + 2:]], argv
 
 
 def test_verify_report_to_an_unwritable_path_is_an_error(tmp_path):
@@ -1032,18 +989,6 @@ def test_unimodal(capsys):
 
 def test_unimodal_default_max_index(capsys):
     assert run(capsys, "unimodal") == run(capsys, "unimodal", "--max-index", "8")
-
-
-# sha256 of stdout, taken when cmd_unimodal ran its own loop over unimodality_check
-@pytest.mark.parametrize("max_index, digest", [
-    ("0", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("1", "a4c8bf9b7e2b7acc249bc05ec1d5b6ea97c59d2b70641695774f851d9a468f53"),
-    ("8", "567c0fcbf3fe50ea9cedc447eff4edc2e58fbbcc45b0571bc0c4456aa5d43891"),
-])
-def test_unimodal_output_bytes_are_pinned(capsys, max_index, digest):
-    code, out, err = run(capsys, "unimodal", "--max-index", max_index)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_unimodal_exits_1_on_a_counterexample(capsys, monkeypatch):

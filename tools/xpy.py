@@ -1,21 +1,22 @@
 """
 Cross-interpreter byte check of the command line, with the standard library only.
 
-    python3.11 tools/xpy.py python3.10 python3.12 python3.13
+    python3 tools/xpy.py python3.10 python3.11 python3.12 python3.13
 
-Runs each command line of tests/command_lines.json under the interpreter
-running this tool, the reference, and under each interpreter given, every
-run a fresh `python -m meshlab.cli` process on this checkout's src/ in its
-own empty working directory.  A run's stdout, exit code and the bytes of
-every file it writes there (a `--report` or `--cache` argument) must equal
-the reference's.
-stderr is shown on a mismatch but not compared: argparse words its usage
-errors differently across versions.  Prints one line per interpreter and one
-per mismatch; exits 0 when every interpreter matches, 1 otherwise.
+Runs each command line of tests/command_lines.json under each interpreter
+given, every run a fresh `python -m meshlab.cli` process on this checkout's
+src/ in its own empty working directory, with no MESHLAB_* variable set.
+A run's exit code, the sha256 of its stdout and of every file it writes there
+(a `--report` or `--cache` argument), and whether it writes to stderr must
+equal the row's.  The stderr text is shown on a mismatch but not compared:
+argparse words its usage errors differently across versions.  Prints one line
+per interpreter and one per mismatch; exits 0 when every interpreter matches
+every row, 1 otherwise.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -24,19 +25,22 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# the pinned command lines; tier-1 checks their digests against this checkout
+# the pinned command lines; tier-1 checks them in process against this checkout
 COMMAND_LINES = ROOT / "tests" / "command_lines.json"
 
 
-def run(python: str, argv: list[str]) -> tuple[str, int, dict[str, bytes], str]:
-    """stdout, exit code, the bytes of each file written, by name, and stderr."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def run(python: str, argv: list[str]) -> tuple[dict, str]:
+    """The run in the table's terms (exit, stdout, files, stderr) and its stderr."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MESHLAB_")}
+    env["PYTHONPATH"] = str(ROOT / "src")
     with tempfile.TemporaryDirectory(prefix="xpy-") as cwd:
-        proc = subprocess.run(
-            [python, "-m", "meshlab.cli", *argv], cwd=cwd, env=env, capture_output=True, text=True
-        )
-        written = {path.name: path.read_bytes() for path in Path(cwd).iterdir()}
-    return proc.stdout, proc.returncode, written, proc.stderr
+        proc = subprocess.run([python, "-m", "meshlab.cli", *argv], cwd=cwd, env=env,
+                              capture_output=True)
+        files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                 for path in Path(cwd).iterdir()}
+    got = {"exit": proc.returncode, "stdout": hashlib.sha256(proc.stdout).hexdigest(),
+           "files": files, "stderr": proc.stderr != b""}
+    return got, proc.stderr.decode(errors="replace")
 
 
 def version(python: str) -> str:
@@ -47,25 +51,22 @@ def version(python: str) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
-    parser.add_argument("pythons", nargs="+", help="interpreters to compare with this one")
+    parser.add_argument("pythons", nargs="+", help="interpreters to check against the table")
     args = parser.parse_args()
-    argvs = [line["argv"] for line in json.loads(COMMAND_LINES.read_text())]
-    expected = [run(sys.executable, argv) for argv in argvs]
-    print(f"reference {sys.executable} ({version(sys.executable)}): {len(argvs)} "
-          f"command lines, exit codes {sorted({code for _, code, _, _ in expected})}")
+    lines = json.loads(COMMAND_LINES.read_text())
+    print(f"{COMMAND_LINES.relative_to(ROOT)}: {len(lines)} command lines, exit codes "
+          f"{sorted({line['exit'] for line in lines})}")
     mismatched = 0
     for python in args.pythons:
         wrong = []
-        for argv, (out, code, written, _) in zip(argvs, expected):
-            got_out, got_code, got_written, got_err = run(python, argv)
-            parts = [name for name, same in (
-                ("stdout", got_out == out), ("exit code", got_code == code),
-                ("files", got_written == written)) if not same]
+        for line in lines:
+            got, err = run(python, line["argv"])
+            parts = [key for key in ("exit", "stdout", "files", "stderr") if got[key] != line[key]]
             if parts:
-                wrong.append(f"  {' '.join(argv)}: {', '.join(parts)} differ"
-                             f" (exit {got_code}, stderr {got_err.strip()[-200:]!r})")
+                wrong.append(f"  {' '.join(line['argv'])}: {', '.join(parts)} differ"
+                             f" (exit {got['exit']}, stderr {err.strip()[-200:]!r})")
         print(f"{python} ({version(python)}): "
-              + (f"{len(wrong)} of {len(argvs)} differ" if wrong else "all match"))
+              + (f"{len(wrong)} of {len(lines)} differ" if wrong else "all match"))
         for line in wrong:
             print(line)
         mismatched += bool(wrong)
