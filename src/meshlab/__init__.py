@@ -10,7 +10,6 @@ from .algebra import (
     sec_series,
     solve_linear_ode,
     tan_series,
-    tangent_number,
     zigzag_numbers,
 )
 from .distributions import (

@@ -281,13 +281,6 @@ def zigzag_numbers(n: int) -> list[int]:
     return table[: n + 1]
 
 
-def tangent_number(m: int) -> int:
-    """B_{m}(1) for odd m: the number of up-down permutations of odd length m."""
-    if m % 2 == 0 or m < 1:
-        raise ValueError(f"tangent numbers live at odd indices, got {m}")
-    return zigzag_numbers(m)[m]
-
-
 def tan_series(order: int) -> EgfSeries:
     """
     tan(xt) as a truncated EGF: the t^m/m! coefficient is E_m x^m for odd m

@@ -41,8 +41,7 @@ FORMATS = ("plain", "csv", "json", "latex")
 # reference) is imported only by the commands that run a suite
 SUITES = ("tables", "symmetry", "oracle", "egf", "coeff-laws", "closed-forms")
 WORKERS_HELP = (
-    "accepted for compatibility; enumeration runs in one thread and the "
-    "results do not depend on it"
+    "accepted for compatibility; enumeration runs in one thread and the results do not depend on it"
 )
 
 
@@ -142,6 +141,8 @@ def cmd_table(args) -> int:
         try:
             _update_cache(Path(args.cache), family, rows)
         except (OSError, ValueError, RecursionError) as exc:
+            if isinstance(exc, OSError):  # the reason, not the temporary file's name
+                exc = OSError(exc.errno, exc.strerror)
             print(f"error: cannot update cache {args.cache}: {exc}", file=sys.stderr)
             return 1
     return 0
@@ -213,6 +214,9 @@ def cmd_verify(args) -> int:
                     f"expected {failure['expected']}, got {failure['actual']}"
                 )
     ok = all(r.passed_strict if args.strict else r.passed for r in results)
+    if not ok and all(r.passed for r in results):  # failed by --strict alone
+        n = sum(len(r.failures()) for r in results)
+        print(f"error: --strict: {n} adjudications disagree", file=sys.stderr)
     return 0 if ok else 1
 
 
@@ -363,10 +367,16 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     # looked up per call, so a rebound cmd_* (a tracer's wrapper) is the one run
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the exit flush
+        return code
     except BruteForceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:  # the reader closed stdout: what is left flushes to devnull
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

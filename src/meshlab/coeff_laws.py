@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm, prod
 
-from .algebra import Poly, tangent_number, zigzag_numbers
+from .algebra import Poly, zigzag_numbers
 from .distributions import MMP_Q1, Family, dist_brute, family_polynomial
 from .records import make_record
 from .reference import PRINTED_CLOSED_FORMS
@@ -381,7 +381,7 @@ def seed_identity_check(k_max: int) -> list[dict]:
     return [
         make_record(
             f"seed-{letter}", family=_FAMILY_OF_LAW[letter], k=k, n=k + 1,
-            expected=Fraction(tangent_number(2 * k + 1), double_factorial(2 * k + parity)),
+            expected=Fraction(zigzag_numbers(2 * k + 1)[-1], double_factorial(2 * k + parity)),
             actual=Fraction(*_ratio(letter, k, k + 1)),
         )
         for k in range(k_max + 1)

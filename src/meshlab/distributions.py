@@ -171,9 +171,12 @@ def _unpacked(packed: int, w: int, n: int) -> Poly:
     return Poly([(packed >> (k * w)) & mask for k in range(n + 1)])
 
 
-def _dist_brute_extremes(
-    n: int, cls: AlternatingClass, ok1: list[bool], ok2: list[bool], ok3: list[bool], ok4: list[bool]
-) -> Poly:
+def _thresholds(spec: QuadrantSpec, n: int) -> list[list[bool]]:
+    """Per quadrant I-IV, okq[c]: does a count c in 0..n-1 meet spec's requirement?"""
+    return [[c == 0 if req is None else c >= req for c in range(n)] for req in spec.requirements]
+
+
+def _dist_brute_extremes(n: int, cls: AlternatingClass, spec: QuadrantSpec) -> Poly:
     # For q2 and q3 in {None, 0, 1}, quadrants II and III ask at most whether
     # some earlier value lies above or below v.  Quadrants I and IV depend
     # only on the rank j of v among the r values not yet placed (v included):
@@ -203,6 +206,7 @@ def _dist_brute_extremes(
     # hold more than E_n of them; a coefficient counts at most the class
     # prefixes of length d, C(n, d) E_d (a set of d values, arranged
     # alternating), so w bits hold every coefficient without a carry.
+    ok1, ok2, ok3, ok4 = _thresholds(spec, n)
     track2, track3 = not all(ok2), not all(ok3)
     ee = zigzag_numbers(n)
     w = max(comb(n, d) * ee[d] for d in range(n + 1)).bit_length()
@@ -233,9 +237,7 @@ def _dist_brute_extremes(
     return _unpacked(sum(ends[0] for ends in groups.values()), w, n)
 
 
-def _dist_brute_subset(
-    n: int, cls: AlternatingClass, ok1: list[bool], ok2: list[bool], ok3: list[bool], ok4: list[bool]
-) -> Poly:
+def _dist_brute_subset(n: int, cls: AlternatingClass, spec: QuadrantSpec) -> Poly:
     # Each position's quadrant counts are fixed the moment its value v lands
     # at 0-based depth d: with k the values already placed below v,
     #   c3 = k,  c2 = d - k,  c1 = (n - v) - c2,  c4 = (v - 1) - k,
@@ -252,8 +254,9 @@ def _dist_brute_subset(
     # multiplying by x is a shift.  masks lists the depth's states, each
     # freed once read.  A state holds at most E_n prefixes (the arrangements
     # of its values), so no coefficient carries into the next.
+    ok1, ok2, ok3, ok4 = _thresholds(spec, n)
     w = zigzag_numbers(n)[n].bit_length()
-    table: list[list[int] | None] = [[]] + [None] * ((1 << n) - 1)
+    table: list[list[int] | None] = [[1]] + [None] * ((1 << n) - 1)  # the empty word
     masks = [0]
     for d in range(n):
         # Sweep v so that acc has passed exactly the values v may follow and
@@ -313,8 +316,8 @@ def dist_brute(
     is unconstrained is not tracked, so MMP(a,0,0,d) runs the boustrophedon
     triangle, n(n+1)/2 additions.  Any other spec extends together all
     words that share their placed values and last value, O(n^2 2^n) steps.
-    _dist_brute_python, mmp_count on every generated word, is the literal
-    reference the two are tested against.
+    Each DP takes (length, cls, spec), as does _dist_brute_python, mmp_count
+    on every generated word, the literal reference the two are tested against.
 
     A histogram that does not sum to the zigzag number E_length raises
     ArithmeticError.  Enumeration runs in the calling thread; workers is
@@ -323,17 +326,12 @@ def dist_brute(
     if length < 0:
         raise ValueError("length must be nonnegative")
     if length == 0:
-        return Poly.one()  # empty-permutation convention: one object, statistic 0
+        return Poly.one()  # the empty word, admitted by every guard
     limit = brute_force_limit()
     if length > limit and not force:
         raise BruteForceLimitError(length, limit)
-    ok1, ok2, ok3, ok4 = (
-        [c == 0 if req is None else c >= req for c in range(length)] for req in spec.requirements
-    )
-    if spec.q2 in (None, 0, 1) and spec.q3 in (None, 0, 1):
-        hist = _dist_brute_extremes(length, cls, ok1, ok2, ok3, ok4)
-    else:
-        hist = _dist_brute_subset(length, cls, ok1, ok2, ok3, ok4)
+    hist = (_dist_brute_extremes if spec.q2 in (None, 0, 1) and spec.q3 in (None, 0, 1)
+            else _dist_brute_subset)(length, cls, spec)
     total = zigzag_numbers(length)[length]
     count = sum(hist.coeffs)
     if count != total:

@@ -257,6 +257,18 @@ def test_table_cache_unwritable_still_prints(tmp_path, capsys):
     assert "cache" in err
 
 
+def test_table_cache_error_names_the_cache_not_its_temporary_file(tmp_path, capsys, monkeypatch):
+    # the write goes through a pid-suffixed sibling, whose name stays out of
+    # the message, so the text is the same on every run
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(
+        capsys, "table", "--family", "A", "--max-index", "1", "--cache", "nodir/c.json"
+    )
+    assert (code, err) == (
+        1, "error: cannot update cache nodir/c.json: [Errno 2] No such file or directory\n"
+    )
+
+
 @pytest.mark.parametrize(
     "content",
     ["not json", "[1, 2]", '{"keep": "me"}', "{}",
@@ -596,9 +608,9 @@ def test_verify_closed_forms_strictness(capsys, tmp_path):
     }
     fails = {(r["family"], r["k"]) for r in records if r["verdict"] == "fail"}
     assert fails == {("A", 3), ("B", 2), ("D", 2), ("D", 3)}
-    # under --strict the same disagreements fail the run
-    code, _, _ = run(capsys, "verify", "--suite", "closed-forms", "--strict")
-    assert code == 1
+    # under --strict the same disagreements fail the run, and stderr says so
+    code, strict_out, err = run(capsys, "verify", "--suite", "closed-forms", "--strict")
+    assert (code, strict_out, err) == (1, out, "error: --strict: 32 adjudications disagree\n")
 
 
 def failure_line(tag, r):
@@ -742,6 +754,8 @@ def test_command_line_table_covers_every_exit_code_and_format():
     for argv in split:
         at = argv.index("--workers")
         assert by_argv[argv] == by_argv[argv[:at] + argv[at + 2:]], argv
+    # every nonzero exit says why on stderr, and a zero exit writes nothing there
+    assert all(line["stderr"] == (line["exit"] != 0) for line in COMMAND_LINES)
 
 
 def test_verify_report_to_an_unwritable_path_is_an_error(tmp_path):
@@ -963,6 +977,32 @@ def test_cli_exit_code_contract(monkeypatch, argv, series_cap, brute_limit):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, out.getvalue())
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "block-buffered"])
+def test_closed_stdout_ends_quietly(unbuffered):
+    # the table's 176,692 bytes overfill the pipe, so the command is still
+    # writing when the reader closes it after one line
+    argv = [sys.executable, "-m", "meshlab.cli", "table", "--family", "A", "--max-index", "60"]
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"0 0 1\n"
+        proc.stdout.close()
+        assert (proc.wait(timeout=60), proc.stderr.read()) == (1, b"")
+
+
+def test_stdout_closed_before_a_short_output_ends_quietly():
+    # no reader from the start: block-buffered, the whole table waits in the
+    # buffer until main flushes it, so the closed pipe is met there too
+    read, write = os.pipe()
+    os.close(read)
+    argv = [sys.executable, "-m", "meshlab.cli", "table", "--family", "A", "--max-index", "3"]
+    try:
+        proc = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE,
+                              env={**os.environ, "PYTHONUNBUFFERED": ""})
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 # --- unimodal command ----------------------------------------------------------

@@ -15,7 +15,9 @@ from meshlab.distributions import (
     MMP_Q1,
     BruteForceLimitError,
     Family,
+    _dist_brute_extremes,
     _dist_brute_python,
+    _dist_brute_subset,
     _positional,
     brute_force_limit,
     closed_form_series_check,
@@ -83,7 +85,7 @@ def test_dist_brute_examples():
         QuadrantSpec(0, 0, 0, 0),
     ],
 )
-def test_engines_agree(spec):
+def test_dist_brute_matches_the_reference_on_listed_specs(spec):
     for length in range(1, 8):
         for cls in (UP_DOWN, DOWN_UP):
             assert dist_brute(length, cls, spec) == _dist_brute_python(length, cls, spec)
@@ -130,12 +132,13 @@ def assert_matches_reference(length, cls, spec):
 @pytest.mark.parametrize("cls", [UP_DOWN, DOWN_UP])
 def test_empty_word_counts_once_on_every_route(cls):
     # one convention for length 0: the generator yields the empty word once,
-    # so the literal reference counts it as dist_brute does
+    # so the literal reference and each DP count it as dist_brute does
     assert list(enumerate_alternating(0, cls)) == [()]
     # specs that route to the extremes DP with no extreme tracked and with
     # one, and to the subset DP
     for spec in (MMP_Q1, QuadrantSpec(1, 0, None, 0), QuadrantSpec(None, 2, 0, 1)):
-        assert _dist_brute_python(0, cls, spec) == dist_brute(0, cls, spec) == Poly.one()
+        for oracle in (dist_brute, _dist_brute_python, _dist_brute_extremes, _dist_brute_subset):
+            assert oracle(0, cls, spec) == Poly.one(), (oracle.__name__, spec)
 
 
 wide_requirement = st.one_of(st.none(), st.integers(0, 3))
@@ -147,12 +150,12 @@ wide_requirement = st.one_of(st.none(), st.integers(0, 3))
     st.sampled_from([UP_DOWN, DOWN_UP]),
     st.tuples(wide_requirement, wide_requirement, wide_requirement, wide_requirement),
 )
-def test_incremental_engine_matches_reference(length, cls, reqs):
+def test_dist_brute_matches_the_reference_on_random_specs(length, cls, reqs):
     assert_matches_reference(length, cls, QuadrantSpec(*reqs))
 
 
 @pytest.mark.parametrize("length", range(9))
-def test_incremental_engine_on_short_words(length):
+def test_dist_brute_matches_the_reference_on_short_words(length):
     # 9 exceeds every quadrant count, so each quadrant runs its "empty",
     # "at least k" and "never met" threshold entries.  Up to length 5 every
     # spec runs, so both DPs (extremes, subset) meet the reference there,
@@ -173,33 +176,26 @@ def test_incremental_engine_on_short_words(length):
     QuadrantSpec(2, 0, 0, 1), QuadrantSpec(None, 0, 0, 2),  # the extremes DP, untracked
 ])
 @pytest.mark.parametrize("cls", [UP_DOWN, DOWN_UP])
-def test_incremental_engine_at_length_nine(cls, spec):
+def test_dist_brute_matches_the_reference_at_length_nine(cls, spec):
     assert_matches_reference(9, cls, spec)
 
 
+@pytest.mark.parametrize(
+    "dp, top", [(_dist_brute_extremes, 20), (_dist_brute_subset, 12)], ids=["extremes", "subset"]
+)
 @pytest.mark.parametrize("cls", [UP_DOWN, DOWN_UP])
-def test_packed_histogram_boundaries(cls):
-    # dist_brute packs the coefficients of a histogram into fixed
-    # fields: E_n.bit_length() bits in the subset DP, where a state holds at
-    # most E_n words, and the wider max_d C(n, d) E_d bits in the extremes
-    # DP, whose slots merge prefixes over every set of placed values.  The
-    # all-zero spec (no extreme tracked) puts all E_n words on x^n (the top
-    # field), the all-empty spec (both tracked) puts them on x^0 once
-    # n >= 2.  All three specs run past the guard, to length 20.
-    top = 20
+def test_packed_histogram_boundaries(cls, dp, top):
+    # each DP packs the coefficients of a histogram into fixed fields:
+    # E_n.bit_length() bits in the subset DP, where a state holds at most E_n
+    # words, and the wider max_d C(n, d) E_d bits in the extremes DP, whose
+    # slots merge prefixes over every set of placed values.  The all-zero
+    # spec puts all E_n words on x^n (the top field), the all-empty spec puts
+    # them on x^0 (the bottom field) once n >= 2.
     ee = zigzag_numbers(top)
     for length in range(1, top + 1):
-        assert dist_brute(length, cls, QuadrantSpec(0, 0, 0, 0), force=True) == Poly.monomial(
-            ee[length], length
-        )
+        assert dp(length, cls, QuadrantSpec(0, 0, 0, 0)) == Poly.monomial(ee[length], length)
         if length >= 2:
-            assert dist_brute(
-                length, cls, QuadrantSpec(None, None, None, None), force=True
-            ) == Poly([ee[length]])
-        family = family_for(length, cls)
-        assert dist_brute(length, cls, MMP_Q1, force=True) == family_polynomial(
-            family, family.index_for_length(length)
-        )
+            assert dp(length, cls, QuadrantSpec(None, None, None, None)) == Poly([ee[length]])
 
 
 def test_histogram_sum_is_checked(monkeypatch):
@@ -209,7 +205,7 @@ def test_histogram_sum_is_checked(monkeypatch):
     routed = (
         ("_dist_brute_extremes", MMP_Q1),
         ("_dist_brute_extremes", QuadrantSpec(1, 0, None, 0)),
-        ("_dist_brute_subset", QuadrantSpec(None, 2, 0, 1)),
+        ("_dist_brute_subset", QuadrantSpec(2, 2, 0, 0)),  # its own reversal
     )
     for name, spec in routed:
         with monkeypatch.context() as patch:
@@ -284,15 +280,16 @@ def test_reverse_complement_symmetry_at_long_lengths(length, cls, reqs):
 
 
 @pytest.mark.parametrize("length", [10, 11, 12])
-def test_triangle_dp_against_the_subset_dp_by_reverse_complement(length):
+def test_untracked_extremes_dp_by_reverse_complement(length):
     # reverse-complement takes MMP(a,0,0,d), which the extremes DP counts
-    # with no extreme tracked (the triangle), to MMP(0,d,a,0), which the
-    # subset DP counts whenever a or d is 2 or 9, and the extremes DP with
-    # an extreme tracked whenever a and d are e, 0 or 1, not both 0
+    # with no extreme tracked, to MMP(0,d,a,0), which the subset DP counts
+    # whenever a or d is 2 or 9, and the extremes DP with an extreme tracked
+    # whenever a and d are e, 0 or 1, not both 0
     entries = (None, 0, 1, 2, 9)
     for a, d in itertools.product(entries, repeat=2):
+        image = _dist_brute_extremes if {a, d} <= {None, 0, 1} else _dist_brute_subset
         for cls in (UP_DOWN, DOWN_UP):
-            assert dist_brute(length, cls, QuadrantSpec(a, 0, 0, d)) == dist_brute(
+            assert _dist_brute_extremes(length, cls, QuadrantSpec(a, 0, 0, d)) == image(
                 length, rc_class(length, cls), QuadrantSpec(0, d, a, 0)
             ), (a, d, cls)
 
@@ -305,19 +302,24 @@ def test_extremes_dp_against_the_subset_dp_by_reverse_complement(length):
     outer = ((2, None), (2, 1), (None, 2), (0, 2))
     for (b, c), (a, d) in itertools.product(itertools.product((None, 0, 1), repeat=2), outer):
         for cls in (UP_DOWN, DOWN_UP):
-            assert dist_brute(length, cls, QuadrantSpec(a, b, c, d)) == dist_brute(
-                length, rc_class(length, cls), QuadrantSpec(c, d, a, b)
+            assert _dist_brute_extremes(length, cls, QuadrantSpec(a, b, c, d)) == (
+                _dist_brute_subset(length, rc_class(length, cls), QuadrantSpec(c, d, a, b))
             ), (a, b, c, d, cls)
 
 
 def test_brute_guard(monkeypatch):
     monkeypatch.setenv("MESHLAB_MAX_BRUTE", "6")
     assert brute_force_limit() == 6
-    with pytest.raises(BruteForceLimitError) as excinfo:
-        dist_brute(8, UP_DOWN, MMP_Q1)
-    assert excinfo.value.length == 8 and excinfo.value.limit == 6
+    assert dist_brute(6, UP_DOWN, MMP_Q1)(1) == zigzag_numbers(6)[6]  # the guard itself runs
+    for length in (7, 8):
+        with pytest.raises(BruteForceLimitError) as excinfo:
+            dist_brute(length, UP_DOWN, MMP_Q1)
+        assert excinfo.value.length == length and excinfo.value.limit == 6
     # explicit override still works
     assert dist_brute(8, UP_DOWN, MMP_Q1, force=True)(1) == zigzag_numbers(8)[8]
+    # a guard below 0 still admits the empty word
+    monkeypatch.setenv("MESHLAB_MAX_BRUTE", "-1")
+    assert dist_brute(0, UP_DOWN, MMP_Q1) == Poly.one()
     monkeypatch.setenv("MESHLAB_MAX_BRUTE", "not-a-number")
     with pytest.raises(ValueError):
         brute_force_limit()
@@ -720,27 +722,27 @@ EXTREMES_DP_13_14_DIGESTS = {
 }
 
 
-def digests_at_13_and_14(specs) -> dict[str, str]:
+def digests_at_13_and_14(dp, specs) -> dict[str, str]:
     digests = {}
     for spec in specs:
         for cls in (UP_DOWN, DOWN_UP):
-            text = repr([dist_brute(length, cls, spec, force=True).coeffs for length in (13, 14)])
+            text = repr([dp(length, cls, spec).coeffs for length in (13, 14)])
             digests[f"{spec}-{cls.value}"] = hashlib.sha256(text.encode()).hexdigest()
     return digests
 
 
 def test_subset_dp_past_length_twelve_is_pinned():
-    # a 2 in quadrant II or III runs the subset DP: 2^13 and 2^14 states;
-    # both classes, so both sweep directions run at every depth
+    # 2^13 and 2^14 states; both classes, so both sweep directions run at
+    # every depth
     specs = (QuadrantSpec(None, 2, 0, 1), QuadrantSpec(1, None, 2, 0))
-    assert digests_at_13_and_14(specs) == SUBSET_DP_13_14_DIGESTS
+    assert digests_at_13_and_14(_dist_brute_subset, specs) == SUBSET_DP_13_14_DIGESTS
 
 
 def test_extremes_dp_past_length_twelve_is_pinned():
-    # quadrant II asks 0 and III e, so these run the extremes DP; the digests
+    # quadrant II asks 0 and III e, in the extremes DP's domain; the digests
     # are the subset DP's histograms for the same inputs
     specs = (QuadrantSpec(1, 0, None, 2), QuadrantSpec(1, 0, None, 0))
-    assert digests_at_13_and_14(specs) == EXTREMES_DP_13_14_DIGESTS
+    assert digests_at_13_and_14(_dist_brute_extremes, specs) == EXTREMES_DP_13_14_DIGESTS
 
 
 def test_headline_theorems_against_the_oracle_past_length_twelve():
@@ -773,7 +775,7 @@ def test_headline_theorems_against_the_oracle_past_length_twelve():
 # field too narrow would carry one coefficient into the next.
 
 
-def test_triangle_dp_through_length_forty():
+def test_untracked_extremes_dp_through_length_forty():
     # the extremes DP with no extreme tracked: the quadrant-I statistic, and
     # the all-zero spec, whose E_n words all sit in the top field
     ee = zigzag_numbers(40)
