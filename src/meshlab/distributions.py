@@ -89,13 +89,13 @@ class Family(enum.Enum):
     C = "C"
     D = "D"
 
-    @property
-    def alternating_class(self) -> AlternatingClass:
-        return UP_DOWN if self in (Family.A, Family.B) else DOWN_UP
+    # members are singletons, so identity is equality: a C-level hash for
+    # the cache and table keys, not Enum's hash of the name
+    __hash__ = object.__hash__
 
-    @property
-    def even_length(self) -> bool:
-        return self in (Family.A, Family.C)
+    def __init__(self, value: str) -> None:
+        self.alternating_class: AlternatingClass = UP_DOWN if value in ("A", "B") else DOWN_UP
+        self.even_length: bool = value in ("A", "C")
 
     def length(self, index: int) -> int:
         """Permutation length for a family index (2n, or 2n - 1 for B and D)."""
@@ -319,9 +319,11 @@ def dist_brute(
     Each DP takes (length, cls, spec), as does _dist_brute_python, mmp_count
     on every generated word, the literal reference the two are tested against.
 
-    A histogram that does not sum to the zigzag number E_length raises
-    ArithmeticError.  Enumeration runs in the calling thread; workers is
-    accepted and ignored, so results never depend on it.
+    Each (length, cls, spec) is computed once per process and its histogram
+    kept, while the guard is checked on every call.  A histogram that does
+    not sum to the zigzag number E_length raises ArithmeticError and is not
+    kept.  Enumeration runs in the calling thread; workers is accepted and
+    ignored, so results never depend on it.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
@@ -330,6 +332,11 @@ def dist_brute(
     limit = brute_force_limit()
     if length > limit and not force:
         raise BruteForceLimitError(length, limit)
+    return _histogram(length, cls, spec)
+
+
+@cache
+def _histogram(length: int, cls: AlternatingClass, spec: QuadrantSpec) -> Poly:
     hist = (_dist_brute_extremes if spec.q2 in (None, 0, 1) and spec.q3 in (None, 0, 1)
             else _dist_brute_subset)(length, cls, spec)
     total = zigzag_numbers(length)[length]

@@ -166,6 +166,8 @@ class AlternatingClass(enum.Enum):
     UP_DOWN = "ud"
     DOWN_UP = "du"
 
+    __hash__ = object.__hash__  # members are singletons: identity is equality
+
     def rises_into(self, j: int) -> bool:
         """
         Whether the step into 0-based position j must be an ascent.  At j = 0

@@ -35,6 +35,7 @@ from meshlab.coeff_laws import (
 from meshlab.distributions import (
     MMP_Q1,
     Family,
+    _histogram,
     closed_form_series_check,
     dist_brute,
     egf_family,
@@ -269,6 +270,7 @@ def test_criterion_10_parallel_determinism(tmp_path):
 
     outputs = {}
     for workers in ("1", "4"):
+        _histogram.cache_clear()  # so that both runs enumerate
         outputs[workers] = b""
         for suite, max_length in (("oracle", "8"), ("symmetry", "6")):
             path = tmp_path / f"{suite}_{workers}.json"

@@ -723,6 +723,7 @@ COMMAND_LINES = json.loads(Path(__file__).with_name("command_lines.json").read_t
 @pytest.mark.parametrize("line", COMMAND_LINES, ids=[" ".join(r["argv"]) for r in COMMAND_LINES])
 def test_command_line_bytes_are_pinned(capsys, monkeypatch, tmp_path, line):
     monkeypatch.chdir(tmp_path)
+    dist._histogram.cache_clear()  # each line runs its own DPs, a --workers line too
     for name in ("MESHLAB_MAX_SERIES_ORDER", "MESHLAB_MAX_BRUTE"):
         monkeypatch.delenv(name, raising=False)
     try:

@@ -4,6 +4,7 @@ import itertools
 import json
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from meshlab.distributions import (
     _dist_brute_extremes,
     _dist_brute_python,
     _dist_brute_subset,
+    _histogram,
     _positional,
     brute_force_limit,
     closed_form_series_check,
@@ -94,23 +96,39 @@ def test_dist_brute_matches_the_reference_on_listed_specs(spec):
 _DPS = ("_dist_brute_extremes", "_dist_brute_subset")
 
 
-def test_dist_brute_routes_each_spec_to_one_dp(monkeypatch):
-    # both DPs give the same histograms, so only the route shows which ran:
-    # II and III both in {e, 0, 1} run the extremes DP (both 0 included),
-    # and a 2 or 3 in either the subset DP
-    routed = []
+@pytest.fixture
+def cold_histograms():
+    # dist_brute keeps each input's histogram for the process: a test that
+    # counts or replaces DP runs starts, and leaves, with none kept
+    _histogram.cache_clear()
+    yield
+    _histogram.cache_clear()
+
+
+@pytest.fixture
+def dp_runs(cold_histograms, monkeypatch):
+    """(DP name, arguments) per DP run, in order, while the real DP answers."""
+    runs = []
     for name in _DPS:
         dp = getattr(meshlab.distributions, name)
 
         def spy(*args, dp=dp, name=name):
-            routed.append(name)
+            runs.append((name, args))
             return dp(*args)
 
         monkeypatch.setattr(meshlab.distributions, name, spy)
+    return runs
+
+
+def test_dist_brute_routes_each_spec_to_one_dp(dp_runs):
+    # both DPs give the same histograms, so only the route shows which ran:
+    # II and III both in {e, 0, 1} run the extremes DP (both 0 included),
+    # and a 2 or 3 in either the subset DP
     small = (None, 0, 1)
     for reqs in itertools.product((None, 0, 1, 2, 3), repeat=4):
-        routed.clear()
+        dp_runs.clear()
         dist_brute(5, DOWN_UP, QuadrantSpec(*reqs))
+        routed = [name for name, _ in dp_runs]
         b, c = reqs[1:3]
         expected = "_dist_brute_extremes" if b in small and c in small else "_dist_brute_subset"
         assert routed == [expected], reqs
@@ -118,7 +136,9 @@ def test_dist_brute_routes_each_spec_to_one_dp(monkeypatch):
 
 def test_worker_partitioning_is_exact():
     for cls in (UP_DOWN, DOWN_UP):
+        _histogram.cache_clear()  # so that both calls compute
         lone = dist_brute(8, cls, MMP_Q1, workers=1)
+        _histogram.cache_clear()
         many = dist_brute(8, cls, MMP_Q1, workers=5)
         assert lone == many
 
@@ -198,10 +218,10 @@ def test_packed_histogram_boundaries(cls, dp, top):
             assert dp(length, cls, QuadrantSpec(None, None, None, None)) == Poly([ee[length]])
 
 
-def test_histogram_sum_is_checked(monkeypatch):
+def test_histogram_sum_is_checked(cold_histograms, monkeypatch):
     # each DP in turn returns a histogram that sums to 1, not E_5 = 16, for
     # specs routed to it; x, not a constant, so the message must show its
-    # value at x = 1
+    # value at x = 1.  Such a histogram is not kept: a second call raises too
     routed = (
         ("_dist_brute_extremes", MMP_Q1),
         ("_dist_brute_extremes", QuadrantSpec(1, 0, None, 0)),
@@ -210,8 +230,72 @@ def test_histogram_sum_is_checked(monkeypatch):
     for name, spec in routed:
         with monkeypatch.context() as patch:
             patch.setattr(meshlab.distributions, name, lambda *args: Poly([0, 1]))
-            with pytest.raises(ArithmeticError, match="^histogram sums to 1, not E_5 = 16$"):
-                dist_brute(5, UP_DOWN, spec)
+            for _ in range(2):
+                with pytest.raises(ArithmeticError, match="^histogram sums to 1, not E_5 = 16$"):
+                    dist_brute(5, UP_DOWN, spec)
+
+
+def test_dist_brute_runs_each_input_once(dp_runs):
+    # the other class, another length, a spec for each DP and one spec's
+    # reverse-complement image (the same histogram, another input): each a
+    # DP run of its own, however often and in whatever order it is asked
+    inputs = [
+        (7, UP_DOWN, MMP_Q1),
+        (7, DOWN_UP, MMP_Q1),
+        (6, UP_DOWN, MMP_Q1),
+        (7, UP_DOWN, QuadrantSpec(2, 1, 0, 0)),
+        (7, rc_class(7, UP_DOWN), QuadrantSpec(0, 0, 2, 1)),
+        (7, UP_DOWN, QuadrantSpec(0, 2, 0, 0)),
+    ]
+    first = [dist_brute(*args) for args in inputs]
+    again = [dist_brute(*args, workers=3) for args in reversed(inputs)][::-1]
+    assert all(a is b for a, b in zip(first, again))
+    assert first[3] == first[4]
+    assert dp_runs == [("_dist_brute_extremes", args) for args in inputs[:4]] + [
+        ("_dist_brute_subset", args) for args in inputs[4:]]
+
+
+def test_guard_is_checked_on_every_call_of_a_kept_input(dp_runs, monkeypatch):
+    kept = dist_brute(8, UP_DOWN, MMP_Q1)
+    monkeypatch.setenv("MESHLAB_MAX_BRUTE", "6")
+    with pytest.raises(BruteForceLimitError) as excinfo:
+        dist_brute(8, UP_DOWN, MMP_Q1)
+    assert (excinfo.value.length, excinfo.value.limit) == (8, 6)
+    assert dist_brute(8, UP_DOWN, MMP_Q1, force=True) is kept
+    assert dp_runs == [("_dist_brute_extremes", (8, UP_DOWN, MMP_Q1))]
+
+
+def test_threads_filling_cold_histograms_agree(cold_histograms):
+    # four threads ask the same inputs of a cold memo at once, switching
+    # often; the reference is the literal enumeration
+    inputs = [(length, cls, spec) for length in range(1, 9) for cls in (UP_DOWN, DOWN_UP)
+              for spec in (MMP_Q1, QuadrantSpec(2, 2, 0, 0))]
+    reference = [_dist_brute_python(*args) for args in inputs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            _histogram.cache_clear()
+            barrier = threading.Barrier(4)
+            results = []
+
+            def work():
+                try:
+                    barrier.wait(timeout=60)
+                    results.append([dist_brute(*args) for args in inputs])
+                except Exception as exc:  # reported below; a thread cannot fail the test
+                    results.append(exc)
+
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [reference] * 4
+            assert [dist_brute(*args) for args in inputs] == reference
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def right_to_left_maxima(word) -> int:

@@ -7,19 +7,22 @@ Single-mutant testing with the standard library's ast module only.
 Each mutant changes one node inside the named functions (a method is named
 Class.method; nested functions count as part of their outer one) or inside
 the value of a named module-level assignment (a table; a tuple unpacking is
-named by any of its names): a comparison flipped (< <=, > >=, == !=, is /
-is not, in / not in), an arithmetic or boolean operator swapped (+ -, * //,
-<< >>, and / or), a `not` dropped or an int constant moved by one either
-way.  In a table, two neighbouring entries of a tuple, a list, a call's
-arguments or a dict's values (a **mapping entry excepted) also trade
-places, and one entry of a tuple, a list, a set or a dict (key and value)
-is dropped, so a table of strings alone gets mutants too.  The module is
-rewritten with ast.unparse into a copy of the repository and the given
-tests run there with -x; a mutant that passes them survives.  The unparsed,
-unmutated module must pass the same tests first (if it does not, the tool
-prints pytest's FAILED and ERROR lines and stops), and that run's time sets
-each mutant's timeout: a mutant run that takes longer (say, one whose
-mutation made a loop endless) is stopped and counts as killed.
+named by any of its names): a comparison flipped (< <=, > >=, == !=,
+is / is not, in / not in), an arithmetic or boolean operator swapped (+ -,
+* //, << >>, and / or), a `not` dropped or an int constant moved by one
+either way.  In a function, each bare expression statement (a call made
+for its effect, such as a flush; a docstring excepted) also becomes `pass`,
+and each decorator (such as a @cache) is dropped.  In a table, two
+neighbouring entries of a tuple, a list, a call's arguments or a dict's
+values (a **mapping entry excepted) also trade places, and one entry of a
+tuple, a list, a set or a dict (key and value) is dropped, so a table of
+strings alone gets mutants too.  The module is rewritten with ast.unparse
+into a copy of the repository and the given tests run there with -x; a
+mutant that passes them survives.  The unparsed, unmutated module must pass
+the same tests first (if it does not, the tool prints pytest's FAILED and
+ERROR lines and stops), and that run's time sets each mutant's timeout: a
+mutant run that takes longer (say, one whose mutation made a loop endless)
+is stopped and counts as killed.
 """
 from __future__ import annotations
 
@@ -77,12 +80,17 @@ def mutants(tree: ast.Module, names: set[str]):
             elif isinstance(node, ast.Constant) and type(node.value) is int:
                 edits = [("value", node.value + 1), ("value", node.value - 1)]
             elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
-                parent = parents[node]  # dropping the not edits the parent's field
-                field, value = dropped(parent, node)
-                old = getattr(parent, field)
-                setattr(parent, field, value)
-                yield f"line {node.lineno}: {ast.unparse(node)}  ->  {ast.unparse(node.operand)}"
-                setattr(parent, field, old)
+                yield from replacement(parents[node], node, node.operand)
+                continue
+            elif isinstance(node, ast.Expr) and not isinstance(node.value, ast.Constant):
+                yield from replacement(parents[node], node, ast.Pass())
+                continue
+            elif isinstance(node, ast.FunctionDef):
+                decorators = node.decorator_list
+                for i, decorator in enumerate(decorators):
+                    node.decorator_list = decorators[:i] + decorators[i + 1:]
+                    yield f"line {decorator.lineno}: @{ast.unparse(decorator)} on {node.name} dropped"
+                node.decorator_list = decorators
                 continue
             elif (type(node) in ENTRIES or type(node) in DROPS) and root is not stmt:
                 yield from entry_mutants(node)
@@ -131,13 +139,19 @@ def entry_mutants(node: ast.AST):
             setattr(node, f, column)
 
 
-def dropped(parent: ast.AST, node: ast.UnaryOp) -> tuple[str, object]:
-    """The edit of parent's field that puts node's operand in node's place."""
+def replacement(parent: ast.AST, node: ast.AST, new: ast.AST):
+    """Yield a label while new stands in node's place in parent's field."""
     for field, value in ast.iter_fields(parent):
         if value is node:
-            return field, node.operand
-        if isinstance(value, list) and any(item is node for item in value):
-            return field, [node.operand if item is node else item for item in value]
+            edited = new
+        elif isinstance(value, list) and any(item is node for item in value):
+            edited = [new if item is node else item for item in value]
+        else:
+            continue
+        setattr(parent, field, edited)
+        yield f"line {node.lineno}: {ast.unparse(node)}  ->  {ast.unparse(new)}"
+        setattr(parent, field, value)
+        return
     raise AssertionError("node is not a child of parent")
 
 
