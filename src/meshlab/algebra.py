@@ -7,11 +7,12 @@ coefficients are plain ints, so the hot loops run on Python ints; the rest
 are fractions.Fraction values in lowest terms with a positive denominator.
 
 An EgfSeries of order N stores polynomials c_0 .. c_N and denotes
-F(t, x) = sum c_n(x) t^n / n!, so products are binomial convolutions.  Each
-product, of polynomials or of series, accumulates every output coefficient
-in one list of raw coefficients and makes one Poly from it.  Truncation
-orders are explicit and mixing them is an error; call truncate() first when
-that is what you mean.
+F(t, x) = sum c_n(x) t^n / n!, so products are binomial convolutions.  One
+kernel, _binomial_term, makes every product: a polynomial product is its
+n = 0 case, and each ODE step is one call.  It sums into one list of raw
+coefficients, skips each factor's leading zeros and makes one Poly.
+Truncation orders are explicit and mixing them is an error; call truncate()
+first when that is what you mean.
 """
 from __future__ import annotations
 
@@ -38,13 +39,14 @@ class Poly:
     Fraction(5, 1)
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_lo")
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
         cs = [c if type(c) is int else _normal(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Rational, ...] = tuple(cs)
+        self._lo = cs.index(next(filter(None, cs))) if cs else 0  # 0 for the zero poly
 
     @classmethod
     def zero(cls) -> Poly:
@@ -81,9 +83,7 @@ class Poly:
     def __mul__(self, other: Poly) -> Poly:
         if not isinstance(other, Poly):
             return NotImplemented
-        out: list[Rational] = []
-        _mul_into(out, self.coeffs, other.coeffs, 1)
-        return Poly(out)
+        return _binomial_term((self,), (other,), 0)
 
     def __call__(self, value: Rational) -> Fraction:
         """Evaluate at a rational by Horner's rule."""
@@ -123,29 +123,27 @@ def _coerce(value: Poly | Rational) -> Poly:
     return Poly([value])
 
 
-def _mul_into(
-    out: list, a: Sequence[Rational], b: Sequence[Rational], scale: Rational, shift: int = 0
-) -> None:
-    """
-    out[shift + i + j] += scale * a[i] * b[j] on raw coefficient lists, out grown to
-    fit.  Zero entries are skipped, so a monomial factor costs one pass over b.
-    """
-    out.extend([0] * (shift + len(a) + len(b) - 1 - len(out)))
-    for i, x in enumerate(a, shift):
-        if x:
-            x *= scale
-            for j, y in enumerate(b, i):
-                if y:
-                    out[j] += x * y
-
-
 def _binomial_term(f: Sequence[Poly], g: Sequence[Poly], n: int, plus: Poly = _ZERO) -> Poly:
-    """sum_k binom(n, k) f_k g_{n-k} + plus, summed in one coefficient list."""
-    out = list(plus.coeffs)
+    """
+    sum_k binom(n, k) f_k g_{n-k} + plus in one list, sized once; each product runs
+    from both factors' lowest nonzero coefficient (Poly._lo), not from x^0.
+    """
+    size = len(plus.coeffs)
     for k in range(n + 1):
         a, b = f[k].coeffs, g[n - k].coeffs
-        if a and b:
-            _mul_into(out, a, b, comb(n, k))
+        if a and b and len(a) + len(b) > size:
+            size = len(a) + len(b) - 1
+    out = [*plus.coeffs] + [0] * (size - len(plus.coeffs))
+    for k in range(n + 1):
+        a, b = f[k], g[n - k]
+        if a.coeffs and b.coeffs:
+            scale, lo, window = comb(n, k), b._lo, b.coeffs[b._lo:]
+            for i, x in enumerate(a.coeffs[a._lo:], a._lo):
+                if x:
+                    x *= scale
+                    for j, y in enumerate(window, i + lo):
+                        if y:
+                            out[j] += x * y
     return Poly(out)
 
 

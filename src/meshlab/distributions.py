@@ -25,7 +25,6 @@ from math import comb
 from .algebra import (
     EgfSeries,
     Poly,
-    _mul_into,
     sec_series,
     solve_linear_ode,
     tan_series,
@@ -129,8 +128,10 @@ def family_for(length: int, cls: AlternatingClass) -> Family:
 # left of the peak all match the quadrant-I pattern, hence the plain x-power;
 # the up-down word right of the peak contributes its own distribution.  The
 # printed A_{2n}, B_{2n-1}, C_{2n} and D_{2n-1} recursions are its four
-# parity cases.  j runs downward, so the rows right of the peak are built
-# shortest first and a cold row recurses only a few frames deep.
+# parity cases.  Each term adds the row's nonzero window, times C(L-1, j) E_j
+# and shifted by j, into one list of the final length L.  j runs downward, so
+# the rows right of the peak are built shortest first and a cold row recurses
+# only a few frames deep.
 # ---------------------------------------------------------------------------
 
 
@@ -139,10 +140,11 @@ def _positional(length: int, cls: AlternatingClass) -> Poly:
     if length <= 1:
         return Poly.one()
     ee = zigzag_numbers(length - 1)
-    out: list[int] = []
+    out = [0] * length
     for j in reversed(range(1 if cls is UP_DOWN else 0, length, 2)):
-        rest = _positional(length - 1 - j, UP_DOWN).coeffs
-        _mul_into(out, (ee[j],), rest, comb(length - 1, j), j)
+        rest, scale = _positional(length - 1 - j, UP_DOWN), comb(length - 1, j) * ee[j]
+        for i, y in enumerate(rest.coeffs[rest._lo:], j + rest._lo):
+            out[i] += scale * y
     return Poly(out)
 
 

@@ -1,15 +1,17 @@
 """
 Reference helpers that only the tests use: the reverse and complement
-symmetries, the two alternating-class predicates, exact Lagrange
-interpolation, and the reading of which printed variant a set of records
-confirms.  Each is a literal definition the library's results are checked
-against.
+symmetries, the two alternating-class predicates, exact Lagrange and Newton
+interpolation, powers of the secant series in plain Fractions, and the
+reading of which printed variant a set of records confirms.  Each is a
+literal definition the library's results are checked against.
 """
 from fractions import Fraction
+from math import factorial
 from typing import Sequence
 
 from meshlab.algebra import Poly, Rational
 from meshlab.permutations import DOWN_UP, UP_DOWN
+from meshlab.reference import ZIGZAG_REFERENCE
 
 
 def reverse(perm: Sequence[int]) -> tuple[int, ...]:
@@ -57,6 +59,57 @@ def fit_polynomial(points: Sequence[tuple[Rational, Rational]]) -> Poly:
             denom *= xs[i] - xj
         total = total + basis * Poly([Fraction(y) / denom])
     return total
+
+
+def newton_fit(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> list[Fraction]:
+    """
+    The polynomial of degree < len(xs) through the points (xs[i], ys[i]), by
+    Newton's divided differences, as ascending Fraction coefficients with
+    trailing zeros trimmed.  Plain lists only: no Poly arithmetic.
+    """
+    coef = [Fraction(y) for y in ys]
+    for level in range(1, len(xs)):
+        for i in reversed(range(level, len(xs))):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
+    # Horner on the Newton form: p <- p * (t - x_i) + c_i, innermost first
+    poly: list[Fraction] = []
+    for c, x in zip(reversed(coef), reversed(xs)):
+        step = [Fraction(0)] + poly
+        for k, p in enumerate(poly):
+            step[k] -= x * p
+        step[0] += c
+        poly = step
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return poly
+
+
+def _truncated_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Ordinary power series product, cut after the length of a."""
+    out = [Fraction(0)] * len(a)
+    for i, x in enumerate(a):
+        if x:
+            for j in range(len(a) - i):
+                out[i + j] += x * b[j]
+    return out
+
+
+def sec_power_series(m: int, exponent: int, degree: int) -> list[Fraction]:
+    """
+    sec(t/m)^exponent through t^degree, as ordinary power series coefficients:
+    sec u = sum_k E_2k u^2k / (2k)! with E from the printed OEIS prefix
+    reference.ZIGZAG_REFERENCE, raised by repeated squaring.
+    """
+    base = [Fraction(ZIGZAG_REFERENCE[k], factorial(k) * m**k) if k % 2 == 0 else Fraction(0)
+            for k in range(degree + 1)]
+    power = [Fraction(1)] + [Fraction(0)] * degree
+    while exponent:
+        if exponent & 1:
+            power = _truncated_product(power, base)
+        exponent >>= 1
+        if exponent:
+            base = _truncated_product(base, base)
+    return power
 
 
 def sole_passing_variant(records) -> str:

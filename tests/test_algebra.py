@@ -36,6 +36,17 @@ def polys(max_degree: int = 4):
     return st.lists(rationals, max_size=max_degree + 1).map(Poly)
 
 
+def shifted():
+    """x^k p for k <= 12: windows that start above x^0, as tan's E_k x^k do."""
+    return st.tuples(st.integers(0, 12), polys()).map(
+        lambda kp: Poly([0] * kp[0] + [*kp[1].coeffs])
+    )
+
+
+# what the product tests draw: a plain polynomial or a shifted one
+factors = polys() | shifted()
+
+
 def test_module_doctests():
     assert doctest.testmod(meshlab.algebra).failed == 0
 
@@ -107,12 +118,36 @@ def _normal_form(values: list[Fraction]) -> list[tuple]:
     return [(int, v.numerator) if v.denominator == 1 else (Fraction, v) for v in values]
 
 
-@given(polys(), polys())
+@given(factors, factors)
 def test_poly_arithmetic_matches_fraction_convolution(a, b):
     fa = [Fraction(c) for c in a.coeffs]
     fb = [Fraction(c) for c in b.coeffs]
     for got, want in ((a + b, _fraction_sum(fa, fb)), (a * b, _fraction_product(fa, fb))):
         assert [(type(c), c) for c in got.coeffs] == _normal_form(want)
+
+
+def _lowest_nonzero(p: Poly) -> int:
+    return next((i for i, c in enumerate(p.coeffs) if c), 0)
+
+
+def test_poly_records_its_lowest_nonzero_coefficient():
+    # the slot the product kernel starts each window from; 0 for the zero poly
+    cases = [
+        (Poly(), 0), (Poly([0, 0, 0]), 0), (Poly([5]), 0), (Poly([0, 0, -3, 1]), 2),
+        (Poly([0, Fraction(-1, 2)]), 1), (Poly([Fraction(0), 0, 0, Fraction(2, 3), 0]), 3),
+        (Poly.monomial(7, 9), 9),
+        # results in which terms cancel
+        (Poly([1, 1]) * Poly([1, -1]), 0),  # 1 - x^2
+        (Poly([0, 1, 1]) + Poly([0, -1]), 2),  # x^2
+        (Poly([1, 1]) + Poly([-1]), 1),  # x
+        (Poly([0, 1]) * Poly([0, 0, 1]) + Poly([0, 0, 0, -1]), 0),  # zero
+    ]
+    for p, lo in cases:
+        assert p._lo == lo == _lowest_nonzero(p), p
+    # an EGF coefficient whose constant terms cancel: (x - 1) + (x + 1) = 2x
+    f, g = EgfSeries([Poly([1]), Poly([1, 1])]), EgfSeries([Poly([1]), Poly([-1, 1])])
+    assert (f * g).coeffs == (Poly([1]), Poly([0, 2])) and (f * g).coeffs[1]._lo == 1
+    assert (Poly.monomial(2, 3) * Poly([0, 0, 1, 1]))._lo == 5
 
 
 def test_poly_scalar_and_eval():
@@ -391,7 +426,7 @@ def _stored(series: EgfSeries) -> list[list[tuple]]:
 
 def _series_pair(max_order: int = 5):
     def of_order(n):
-        series = st.lists(polys(), min_size=n + 1, max_size=n + 1)
+        series = st.lists(factors, min_size=n + 1, max_size=n + 1)
         return st.tuples(series, series)
 
     return st.integers(0, max_order).flatmap(of_order)
@@ -406,7 +441,7 @@ def test_egf_mul_matches_a_per_term_fraction_loop(pair):
 
 
 @settings(deadline=None)
-@given(_series_pair(), polys())
+@given(_series_pair(), factors)
 def test_ode_matches_a_per_term_fraction_loop(pair, y0):
     # f and g through order - 1 determine Y through order
     f, g = pair

@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 import threading
+from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +39,7 @@ from meshlab.permutations import DOWN_UP, UP_DOWN, QuadrantSpec, enumerate_alter
 from meshlab.records import make_record
 from meshlab.reference import FAMILY_TABLES
 
-from helpers import sole_passing_variant
+from helpers import newton_fit, sec_power_series, sole_passing_variant
 
 
 # --- family plumbing -------------------------------------------------------
@@ -517,6 +519,28 @@ def test_egf_routes_match_recursion():
                 assert coeff.is_zero()
             elif m > 0:
                 assert coeff == family_polynomial(family, family.index_for_length(m))
+
+
+def test_a_and_d_rows_match_sec_powers_at_x_one_over_m():
+    # the paper's closed forms at x = 1/m, where each exponent is an integer:
+    # A = sec(t/m)^m and D = int_0^t sec(z/m)^(m+1) dz.  These series share
+    # neither the product kernel nor zigzag_numbers with the library: plain
+    # Fraction lists from the printed E_n, raised by repeated squaring.  The
+    # values at m = 1..14 fix every row of length <= 14 (degree <= 13).
+    xs = [Fraction(1, m) for m in range(1, 15)]
+    a = [sec_power_series(m, m, 14) for m in range(1, 15)]
+    d = [sec_power_series(m, m + 1, 12) for m in range(1, 15)]
+    a_series, d_series = egf_family(Family.A, 14), egf_family(Family.D, 13)
+    for length in range(0, 15, 2):
+        # A_L(1/m) = L! [t^L] sec(t/m)^m
+        row = newton_fit(xs, [factorial(length) * s[length] for s in a])
+        assert list(family_polynomial(Family.A, length // 2).coeffs) == row, length
+        assert list(a_series.coefficient(length).coeffs) == row, length
+    for length in range(1, 14, 2):
+        # D_L(1/m) = L! [t^L] int sec(z/m)^(m+1) dz = (L-1)! [z^(L-1)] sec(z/m)^(m+1)
+        row = newton_fit(xs, [factorial(length - 1) * s[length - 1] for s in d])
+        assert list(family_polynomial(Family.D, (length + 1) // 2).coeffs) == row, length
+        assert list(d_series.coefficient(length).coeffs) == row, length
 
 
 def test_egf_examples():
