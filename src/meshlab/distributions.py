@@ -1,10 +1,12 @@
 """
 The four distribution families of the quadrant-I statistic over alternating
-permutations, computed by three independent routes:
+permutations, reached by three routes:
 
   * brute force: enumerate the class and histogram the statistic (the oracle);
-  * positional recursion on the location of the largest value;
-  * truncated EGF arithmetic driven by the linear differential equations.
+  * positional recursion on the location of the largest value, whose rows
+    egf_family also lays out as the B, C and D series;
+  * the paper's closed forms as truncated EGFs: A = sec(xt)^{1/x} solved
+    from its linear ODE, and B, C and D from sec powers and antiderivatives.
 
 Family naming: A and B collect up-down permutations of even and odd length,
 C and D down-up permutations of even and odd length.  Family index n means
@@ -25,7 +27,6 @@ from math import comb
 from .algebra import (
     EgfSeries,
     Poly,
-    sec_series,
     solve_linear_ode,
     tan_series,
     zigzag_numbers,
@@ -349,19 +350,19 @@ def _histogram(length: int, cls: AlternatingClass, spec: QuadrantSpec) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Route 3: truncated EGF arithmetic.
+# Route 3: the paper's closed forms as truncated EGFs.
 #
-# The generating functions satisfy first-order linear ODEs in t:
-#     A' = tan(xt) A         A(0) = 1
-#     B' = 1 + tan(xt) B     B(0) = 0
-#     C' = sec(xt) B         C(0) = 1
-#     D' = sec(xt) A         D(0) = 0
-# A is sec(xt)^{1/x}, sec_xt_power at multiplier 1; it and B go through the
-# term-by-term solver, C and D are a product and an antiderivative of known
-# series.  (sec t)^x is no solve of its own: u = xt and y = 1/x turn it into
-# A, so its row n is A's row n read backwards.  A truncated solution's first
-# m + 1 coefficients do not depend on its order, so each series is solved once
-# per key at the highest order asked and lower orders are truncations of it.
+# B' = 1 + tan(xt) B, C' = sec(xt) B and D' = sec(xt) A are not solved: the
+# t^k/k! coefficients of tan(xt) and sec(xt) are E_k x^k at odd and even k,
+# so each series' t^L/L! coefficient, sum_k C(L-1,k) f_k c_{L-1-k}, is
+# _positional's sum over j = k; egf_family lays those rows out instead.  The
+# solves are the paper's closed forms: A = sec(xt)^{1/x}, sec_xt_power at
+# multiplier 1, and sec(xt)^{-1/x} and sec(xt)^{1+1/x}, from which
+# closed_form_series_check builds B, C and D.  (sec t)^x is no solve of
+# its own: u = xt and y = 1/x turn it into A, so its row n is A's row n read
+# backwards.  A truncated solution's first m + 1 coefficients do not depend
+# on its order, so each power is solved once per multiplier at the highest
+# order asked and lower orders are truncations of it.
 # ---------------------------------------------------------------------------
 
 
@@ -385,24 +386,21 @@ def _longest_solve(solve):
     return solved
 
 
-@_longest_solve
 def egf_family(family: Family, order: int, /) -> EgfSeries:
     """
     Truncated series for a family; the t^m/m! coefficient equals the family
     polynomial at the matching length and is zero at the opposite parity.
+    A is solved as sec(xt)^{1/x}; B, C and D are _positional's kept rows.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    start = Poly.one() if family.even_length else Poly.zero()
-    if order == 0:
-        return EgfSeries([start])
     if family is Family.A:
         return sec_xt_power(Poly.one(), order)
-    if family is Family.B:
-        one = EgfSeries.constant(Poly.one(), order - 1)
-        return solve_linear_ode(tan_series(order - 1), one, start, order)
-    partner = Family.B if family is Family.C else Family.A
-    return (sec_series(order - 1) * egf_family(partner, order - 1)).integrate(constant=start)
+    return EgfSeries(
+        _positional(m, family.alternating_class)
+        if (m % 2 == 0) == family.even_length else Poly.zero()
+        for m in range(order + 1)
+    )
 
 
 @_longest_solve

@@ -1,9 +1,9 @@
 """
 Reference helpers that only the tests use: the reverse and complement
-symmetries, the two alternating-class predicates, exact Lagrange and Newton
-interpolation, powers of the secant series in plain Fractions, and the
-reading of which printed variant a set of records confirms.  Each is a
-literal definition the library's results are checked against.
+symmetries, the two alternating-class predicates, exact Newton interpolation,
+powers of the secant and cosine series in plain Fractions, and the reading of
+which printed variant a set of records confirms.  Each is a literal
+definition the library's results are checked against.
 """
 from fractions import Fraction
 from math import factorial
@@ -40,7 +40,7 @@ def is_down_up(perm: Sequence[int]) -> bool:
 
 def fit_polynomial(points: Sequence[tuple[Rational, Rational]]) -> Poly:
     """
-    Lagrange interpolation through the given (x, y) pairs, exact.
+    The interpolating polynomial through the given (x, y) pairs, exact.
 
     Used to establish polynomiality of value sequences empirically: fit on
     d + 1 points and check the interpolant reproduces further ones.
@@ -48,17 +48,7 @@ def fit_polynomial(points: Sequence[tuple[Rational, Rational]]) -> Poly:
     xs = [Fraction(x) for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
-    total = Poly.zero()
-    for i, (_, y) in enumerate(points):
-        basis = Poly.one()
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if i == j:
-                continue
-            basis = basis * Poly([-xj, 1])
-            denom *= xs[i] - xj
-        total = total + basis * Poly([Fraction(y) / denom])
-    return total
+    return Poly(newton_fit(xs, [y for _, y in points]))
 
 
 def newton_fit(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> list[Fraction]:
@@ -84,7 +74,7 @@ def newton_fit(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> list[Fraction]
     return poly
 
 
-def _truncated_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def truncated_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     """Ordinary power series product, cut after the length of a."""
     out = [Fraction(0)] * len(a)
     for i, x in enumerate(a):
@@ -94,22 +84,35 @@ def _truncated_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return out
 
 
+def _power(base: list[Fraction], exponent: int) -> list[Fraction]:
+    """base^exponent, cut after the length of base, by repeated squaring."""
+    power = [Fraction(1)] + [Fraction(0)] * (len(base) - 1)
+    while exponent:
+        if exponent & 1:
+            power = truncated_product(power, base)
+        exponent >>= 1
+        if exponent:
+            base = truncated_product(base, base)
+    return power
+
+
 def sec_power_series(m: int, exponent: int, degree: int) -> list[Fraction]:
     """
     sec(t/m)^exponent through t^degree, as ordinary power series coefficients:
     sec u = sum_k E_2k u^2k / (2k)! with E from the printed OEIS prefix
     reference.ZIGZAG_REFERENCE, raised by repeated squaring.
     """
-    base = [Fraction(ZIGZAG_REFERENCE[k], factorial(k) * m**k) if k % 2 == 0 else Fraction(0)
-            for k in range(degree + 1)]
-    power = [Fraction(1)] + [Fraction(0)] * degree
-    while exponent:
-        if exponent & 1:
-            power = _truncated_product(power, base)
-        exponent >>= 1
-        if exponent:
-            base = _truncated_product(base, base)
-    return power
+    return _power([Fraction(ZIGZAG_REFERENCE[k], factorial(k) * m**k) if k % 2 == 0
+                   else Fraction(0) for k in range(degree + 1)], exponent)
+
+
+def cos_power_series(m: int, exponent: int, degree: int) -> list[Fraction]:
+    """
+    cos(t/m)^exponent through t^degree, as ordinary power series coefficients:
+    cos u = sum_k (-1)^k u^2k / (2k)!, raised by repeated squaring.
+    """
+    return _power([Fraction((-1) ** (k // 2), factorial(k) * m**k) if k % 2 == 0
+                   else Fraction(0) for k in range(degree + 1)], exponent)
 
 
 def sole_passing_variant(records) -> str:

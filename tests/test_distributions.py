@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 import pytest
@@ -13,7 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import meshlab.distributions
-from meshlab.algebra import EgfSeries, Poly, solve_linear_ode, tan_series, zigzag_numbers
+from meshlab.algebra import (
+    EgfSeries,
+    Poly,
+    sec_series,
+    solve_linear_ode,
+    tan_series,
+    zigzag_numbers,
+)
 from meshlab.distributions import (
     MMP_Q1,
     BruteForceLimitError,
@@ -39,7 +47,13 @@ from meshlab.permutations import DOWN_UP, UP_DOWN, QuadrantSpec, enumerate_alter
 from meshlab.records import make_record
 from meshlab.reference import FAMILY_TABLES
 
-from helpers import newton_fit, sec_power_series, sole_passing_variant
+from helpers import (
+    cos_power_series,
+    newton_fit,
+    sec_power_series,
+    sole_passing_variant,
+    truncated_product,
+)
 
 
 # --- family plumbing -------------------------------------------------------
@@ -543,6 +557,39 @@ def test_a_and_d_rows_match_sec_powers_at_x_one_over_m():
         assert list(d_series.coefficient(length).coeffs) == row, length
 
 
+def _integral(series: list[Fraction]) -> list[Fraction]:
+    """int_0^t of an ordinary power series: one degree more."""
+    return [Fraction(0)] + [c / (k + 1) for k, c in enumerate(series)]
+
+
+def test_b_and_c_rows_match_sec_and_cos_powers_at_x_one_over_m():
+    # the paper's B and C at x = 1/m, where sec(xt)^{-1/x} = cos(t/m)^m:
+    #   B = sec(t/m)^m int_0^t cos(z/m)^m dz,
+    #   C = 1 + int_0^t sec(z/m)^(m+1) int_0^z cos(w/m)^m dw dz.
+    # egf_family's B and C are the recursion's rows, so this is the one check
+    # of them that shares no code with the library: plain Fraction lists from
+    # the printed E_n and from factorials.  The values at m = 1..14 fix every
+    # row of length <= 14 (degree <= 13).
+    xs = [Fraction(1, m) for m in range(1, 15)]
+    b, c = [], []
+    for m in range(1, 15):
+        inner = _integral(cos_power_series(m, m, 12))  # through t^13
+        b.append(truncated_product(sec_power_series(m, m, 13), inner))
+        c.append(truncated_product(sec_power_series(m, m + 1, 13), inner))  # C'
+    b_series, c_series = egf_family(Family.B, 13), egf_family(Family.C, 14)
+    for length in range(1, 14, 2):
+        # B_L(1/m) = L! [t^L] B
+        row = newton_fit(xs, [factorial(length) * s[length] for s in b])
+        assert list(family_polynomial(Family.B, (length + 1) // 2).coeffs) == row, length
+        assert list(b_series.coefficient(length).coeffs) == row, length
+    for length in range(0, 15, 2):
+        # C_L(1/m) = L! [t^L] C = (L-1)! [t^(L-1)] C' for L >= 2, and C_0 = 1
+        values = [factorial(length - 1) * s[length - 1] if length else 1 for s in c]
+        row = newton_fit(xs, values)
+        assert list(family_polynomial(Family.C, length // 2).coeffs) == row, length
+        assert list(c_series.coefficient(length).coeffs) == row, length
+
+
 def test_egf_examples():
     a = egf_family(Family.A, 8)
     assert [a.coefficient(m) for m in (0, 2, 4)] == [
@@ -589,12 +636,12 @@ def test_closed_form_series_check_lowest_order():
 
 # --- one solve per series key ----------------------------------------------
 
-_SERIES_NAMES = ("egf_family", "sec_xt_power", "sec_t_power_of_x")
+_SERIES_NAMES = ("sec_xt_power", "sec_t_power_of_x")
 # the undecorated solves: each call solves from its own arguments
 _RAW = {name: getattr(meshlab.distributions, name).__wrapped__ for name in _SERIES_NAMES}
-_SERIES_KEYS = [("egf_family", (family,)) for family in Family] + [
-    ("sec_xt_power", (Poly(m),)) for m in ([1], [-1], [1, 1])
-] + [("sec_t_power_of_x", ())]
+_SERIES_KEYS = [("sec_xt_power", (Poly(m),)) for m in ([1], [-1], [1, 1])] + [
+    ("sec_t_power_of_x", ())
+]
 
 
 def _stored_series(series) -> list:
@@ -637,8 +684,8 @@ def test_series_store_answers_every_order_as_a_cold_solve(solve_calls, name, key
     cold = [_stored_series(_cold(name, key, m)) for m in range(top + 1)]
     fn = getattr(meshlab.distributions, name)
 
-    def solved_orders():  # C and D also log their inner B and A solves
-        return [args[-1] for args in solve_calls[name] if args[:-1] == key]
+    def solved_orders():
+        return [args[-1] for args in solve_calls[name]]
 
     if not ascending:
         assert _stored_series(fn(*key, top)) == cold[top]
@@ -654,6 +701,36 @@ def test_series_store_answers_every_order_as_a_cold_solve(solve_calls, name, key
     assert solved_orders() == solved + [top + 1]
 
 
+@cache
+def _ode_series(family: Family, order: int) -> EgfSeries:
+    """
+    The family's series solved term by term from its linear ODE:
+        A' = tan(xt) A, A(0) = 1        B' = 1 + tan(xt) B, B(0) = 0
+        C = 1 + int sec(xt) B           D = int sec(xt) A
+    B, C and D so solved are _positional's sum coded a second time, kept here
+    as the reference that egf_family's rows are compared with.
+    """
+    start = Poly.one() if family.even_length else Poly.zero()
+    if order == 0:
+        return EgfSeries([start])
+    if family in (Family.A, Family.B):
+        g = EgfSeries.constant(Poly.one() if family is Family.B else Poly.zero(), order - 1)
+        return solve_linear_ode(tan_series(order - 1), g, start, order)
+    partner = _ode_series(Family.B if family is Family.C else Family.A, order - 1)
+    return (sec_series(order - 1) * partner).integrate(constant=start)
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+@pytest.mark.parametrize("ascending", [False, True], ids=["longest-first", "ascending"])
+def test_egf_family_equals_its_ode_solution(solve_calls, family, ascending):
+    # from empty stores and no kept rows, whether the longest series is asked
+    # first or every order in turn, each order equals its own ODE solve
+    top = 24
+    _positional.cache_clear()
+    for m in range(top + 1) if ascending else [top, *range(top + 1)]:
+        assert _stored_series(egf_family(family, m)) == _stored_series(_ode_series(family, m)), m
+
+
 # a negative order raises what the solve itself raises: egf_family checks its
 # order, and so does (sec t)^x, which reads A's rows; sec_xt_power fails in
 # zigzag_numbers when it sizes the tangent series
@@ -664,8 +741,13 @@ _NEGATIVE_ORDER_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("name,key", _SERIES_KEYS, ids=lambda v: str(v))
-def test_series_negative_order_raises_before_and_after_a_solve(solve_calls, name, key):
+@pytest.mark.parametrize(
+    "name,key", [("egf_family", (family,)) for family in Family] + _SERIES_KEYS,
+    ids=lambda v: str(v),
+)
+def test_series_negative_order_raises_before_and_after_a_solve(request, name, key):
+    if name in _SERIES_NAMES:
+        request.getfixturevalue("solve_calls")  # empty stores, as in a new process
     fn = getattr(meshlab.distributions, name)
     message = f"^{_NEGATIVE_ORDER_ERRORS[name]}$"
     for order in (-1, -2, -7):
@@ -731,16 +813,17 @@ print(sorted(orders))
 
 
 def test_exact_series_pass_solves_each_series_once():
-    # the benchmark's exact-series calls in a new process: each of A, B,
+    # the benchmark's exact-series calls in a new process: each of A,
     # sec(xt)^{-1/x} and sec(xt)^{1+1/x} is solved once, at the highest order
-    # asked, and every lower order is a truncation.  A and sec(xt)^{1/x} are
-    # one series, so closed_form_series_check's order-40 sec(xt)^{1/x} is a
-    # truncation of A's order-80 solve, and (sec t)^x is read off A's rows
-    # with no solve of its own
+    # asked, and every lower order is a truncation.  B, C and D are the
+    # recursion's rows, with no solve.  A and sec(xt)^{1/x} are one series,
+    # so closed_form_series_check's order-40 sec(xt)^{1/x} is a truncation of
+    # A's order-80 solve, and (sec t)^x is read off A's rows with no solve of
+    # its own
     proc = subprocess.run(
         [sys.executable, "-c", _COUNT_SOLVES], capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.splitlines() == ["[39, 39, 80, 80]", "[39, 39, 80, 80]"]
+    assert proc.stdout.splitlines() == ["[39, 39, 80]", "[39, 39, 80]"]
 
 
 def _all_int(polys) -> bool:
